@@ -50,7 +50,7 @@ def test_granularity_top_down_vs_bottom_up(one_round):
                 continue
             td = len(container_cus(res.registry, module, loop,
                                    res.line_counts))
-            bu = build_cus_bottom_up(module, loop, res.trace.events())
+            bu = build_cus_bottom_up(module, loop, res.trace.iter_chunks())
             td_counts.append(td)
             bu_counts.append(bu.n_cus)
         rows.append([

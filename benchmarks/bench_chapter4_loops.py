@@ -149,6 +149,8 @@ def test_table_4_5_gzip_bzip2(one_round):
     """Suggestions for the compression apps vs the known parallel versions
     (pigz / bzip2smp parallelize per-block)."""
     rows = []
+    #: (program, verdict is parallel, block loop marked // PAR)
+    verdicts = []
     for name in ("gzip-like", "bzip2-like"):
         res = discovery_of(name)
         truth = get_workload(name).ground_truth(1)
@@ -159,6 +161,10 @@ def test_table_4_5_gzip_bzip2(one_round):
                 block_line = lineno
                 break
         info = res.loop_at(block_line)
+        verdicts.append(
+            (name, info is not None and info.is_parallelizable,
+             truth[block_line])
+        )
         rows.append([
             name,
             len(res.suggestions),
@@ -177,6 +183,8 @@ def test_table_4_5_gzip_bzip2(one_round):
     one_round(lambda: discovery_of("gzip-like"))
     # gzip's per-block loop is the known opportunity (pigz)
     assert rows[0][3] in (LoopClass.DOALL, LoopClass.DOALL_REDUCTION)
-    # bzip2's block loop shares the MTF table -> not plain DOALL without
-    # privatization (bzip2smp privatizes per-block state)
-    assert rows[1][3] != LoopClass.DOALL or True
+    # both block loops are marked // PAR — pigz and bzip2smp compress
+    # blocks in parallel, and bzip2-like re-initializes its MTF table per
+    # block: each verdict must match that ground truth
+    for name, parallel, marked in verdicts:
+        assert parallel == marked, name

@@ -15,7 +15,6 @@ The unified ``repro`` command drives the staged engine::
     repro trace    --workload matmul -o matmul.trace.json  # Perfetto timeline
     repro stats    --workload matmul  # metrics-registry snapshot table
     repro discover file.mc --obs trace --trace-out out.json
-    repro bench    [--quick]          # tuple vs columnar event throughput
     repro bench    --suite vm --quick # compiled vs switch dispatch cores
     repro bench    --suite detect     # vectorized vs loop detection cores
     repro bench    --suite obs --quick # observability disabled-cost gate
@@ -28,15 +27,9 @@ The unified ``repro`` command drives the staged engine::
 Every subcommand supports ``--format json`` (machine-readable artifact
 dicts, see :mod:`repro.engine.artifacts`) and ``--save PATH`` to persist
 the artifact; ``repro report --load`` / ``repro discover --load`` reload a
-saved artifact instead of re-executing the program.
-
-The pre-engine single-purpose commands are kept as console scripts:
-
-* ``repro-profile file.mc``  — run the data-dependence profiler, print the
-  Fig. 2.1-style report.
-* ``repro-discover file.mc`` — run the full discovery pipeline, print
-  ranked parallelization suggestions.
-* ``repro-report file.mc``   — print profiling statistics and the PET.
+saved artifact instead of re-executing the program.  ``--obs`` only
+observes: it never changes which detection core runs or whether the
+validate phase runs (``repro trace`` picks its own defaults).
 """
 
 from __future__ import annotations
@@ -46,13 +39,7 @@ import json
 import sys
 import time
 
-from repro.mir.lowering import compile_source
-from repro.profiler.pet import PETBuilder
 from repro.profiler.reportfmt import format_report
-from repro.profiler.serial import SerialProfiler
-from repro.profiler.shadow import PerfectShadow, SignatureShadow
-from repro.profiler.skipping import SkippingProfiler
-from repro.runtime.interpreter import VM
 
 
 # ---------------------------------------------------------------------------
@@ -86,12 +73,6 @@ def _add_pipeline_options(parser: argparse.ArgumentParser) -> None:
         choices=sorted(BACKENDS),
         default="serial",
         help="profiler backend (see repro.profiler.backends)",
-    )
-    parser.add_argument(
-        "--chunk-format",
-        choices=("tuple", "columnar"),
-        default="columnar",
-        help="event chunk representation",
     )
     parser.add_argument(
         "--dispatch",
@@ -210,7 +191,6 @@ def _config_from_args(args, source: str, name: str,
         skip_loops=getattr(args, "skip_loops", False),
         seed=args.seed,
         backend=getattr(args, "backend", "serial"),
-        chunk_format=getattr(args, "chunk_format", "columnar"),
         dispatch=getattr(args, "dispatch", "compiled"),
         detect=getattr(args, "detect", "vectorized"),
         detect_workers=getattr(args, "detect_workers", 4),
@@ -342,17 +322,9 @@ def cmd_discover(args) -> int:
             )
     else:
         source, name, frontend, path = _read_source(args)
-        tracing = getattr(args, "obs", "off") == "trace"
-        if getattr(args, "detect", None) is None:
-            # discover leaves --detect unset (None sentinel) so tracing
-            # can default to the multi-process core: a timeline without
-            # the sharded workers and the ParallelVM validate leg is
-            # mostly one lane
-            args.detect = "sharded" if tracing else "vectorized"
-        config = _config_from_args(args, source, name, frontend, path)
-        if tracing and not getattr(args, "no_validate", False):
-            config.validate = True
-        engine = DiscoveryEngine(config=config)
+        engine = DiscoveryEngine(
+            config=_config_from_args(args, source, name, frontend, path)
+        )
         result = engine.run()
         _export_trace(args, engine, name)
     _emit(args, result, result.format_report())
@@ -502,36 +474,7 @@ def cmd_bench(args) -> int:
         return _bench_obs(args)
     if args.suite == "faults":
         return _bench_faults(args)
-    if args.suite == "store":
-        return _bench_store(args)
-    from repro.engine.bench import format_pipeline_table, run_pipeline_bench
-
-    result = run_pipeline_bench(
-        args.workloads or None,
-        scale=args.scale,
-        reps=args.reps,
-        quick=args.quick,
-        chunk_size=args.chunk_size,
-    )
-    if args.format == "json":
-        print(json.dumps(result, indent=1))
-    else:
-        print(format_pipeline_table(result))
-    with open(args.save, "w") as handle:
-        json.dump(result, handle, indent=1)
-    print(f"; saved pipeline bench -> {args.save}", file=sys.stderr)
-    if not result["all_stores_identical"]:
-        print("; FAIL: tuple and columnar stores differ", file=sys.stderr)
-        return 1
-    if args.min_ratio and result["throughput_ratio_geomean"] < args.min_ratio:
-        print(
-            f"; FAIL: columnar/tuple throughput geomean "
-            f"{result['throughput_ratio_geomean']:.2f} "
-            f"below required {args.min_ratio:.2f}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return _bench_store(args)
 
 
 def _bench_vm(args) -> int:
@@ -1016,15 +959,10 @@ def main(argv=None) -> int:
                    help="thread count assumed by the ranking")
     p.add_argument("--load", metavar="PATH", default=None,
                    help="re-render a saved discovery result (no re-run)")
-    p.add_argument("--no-validate", action="store_true",
-                   help="with --obs trace: skip the validate leg that "
-                        "tracing otherwise turns on for its timeline")
     _add_run_options(p)
     _add_pipeline_options(p)
     _add_output_options(p)
-    # None sentinel: --obs trace defaults to the sharded core so the
-    # detection workers contribute timeline lanes (cmd_discover resolves)
-    p.set_defaults(func=cmd_discover, detect=None)
+    p.set_defaults(func=cmd_discover)
 
     p = sub.add_parser(
         "trace",
@@ -1084,16 +1022,14 @@ def main(argv=None) -> int:
 
     p = sub.add_parser(
         "bench",
-        help="performance benches: event pipeline or VM dispatch cores",
+        help="performance and robustness benches (one --suite per run)",
     )
     p.add_argument("workloads", nargs="*",
                    help="registry workloads (default: the suite's trio)")
     p.add_argument("--suite",
-                   choices=("pipeline", "vm", "detect", "obs", "faults",
-                            "store"),
-                   default="pipeline",
-                   help="pipeline: tuple vs columnar chunks; "
-                        "vm: switch vs compiled dispatch; "
+                   choices=("vm", "detect", "obs", "faults", "store"),
+                   required=True,
+                   help="vm: switch vs compiled dispatch; "
                         "detect: loop vs vectorized detection cores; "
                         "obs: observability overhead (disabled-cost gate); "
                         "faults: deterministic fault matrix against the "
@@ -1114,10 +1050,9 @@ def main(argv=None) -> int:
                         "floors")
     p.add_argument("--chunk-size", type=int, default=4096)
     p.add_argument("--min-ratio", type=float, default=None,
-                   help="fail below this geomean (default with --quick: "
-                        "1.5 pipeline columnar/tuple, 2.0 vm "
-                        "compiled/switch, 3.0 detect vectorized/loop; "
-                        "off otherwise)")
+                   help="vm/detect suites: fail below this geomean "
+                        "(default with --quick: 2.0 vm compiled/switch, "
+                        "3.0 detect vectorized/loop; off otherwise)")
     p.add_argument("--min-profile-ratio", type=float, default=None,
                    help="vm/detect suites: fail if end-to-end profile "
                         "geomean falls below this (default with "
@@ -1216,7 +1151,7 @@ def main(argv=None) -> int:
                 DETECT_BENCH_SCALE if args.suite == "detect" else 1
             )
         if args.min_ratio is None:
-            floor = {"vm": 2.0, "detect": 3.0}.get(args.suite, 1.5)
+            floor = {"vm": 2.0, "detect": 3.0}.get(args.suite, 0.0)
             args.min_ratio = floor if args.quick else 0.0
         if args.min_profile_ratio is None:
             floor = 1.5 if args.suite == "detect" else 1.25
@@ -1228,123 +1163,6 @@ def main(argv=None) -> int:
         if args.save is None:
             args.save = f"BENCH_{args.suite}.json"
     return args.func(args)
-
-
-# ---------------------------------------------------------------------------
-# legacy single-purpose entry points
-# ---------------------------------------------------------------------------
-
-
-def _common_parser(description: str) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(description=description)
-    parser.add_argument("source", help="MiniC source file")
-    parser.add_argument("--entry", default="main", help="entry function")
-    parser.add_argument(
-        "--signature-slots",
-        type=int,
-        default=None,
-        help="signature size (omit for the exact shadow baseline)",
-    )
-    parser.add_argument("--seed", type=int, default=12345)
-    return parser
-
-
-def _load(path: str):
-    with open(path) as handle:
-        return compile_source(handle.read(), name=path)
-
-
-def main_profile(argv=None) -> int:
-    parser = _common_parser("DiscoPoP-style data-dependence profiling")
-    parser.add_argument("--skip-loops", action="store_true",
-                        help="enable the §2.4 skipping optimization")
-    args = parser.parse_args(argv)
-    module = _load(args.source)
-    shadow = (
-        PerfectShadow()
-        if args.signature_slots is None
-        else SignatureShadow(args.signature_slots)
-    )
-    profiler = SerialProfiler(shadow)
-    sink = SkippingProfiler(profiler) if args.skip_loops else profiler
-    vm = VM(module, sink, seed=args.seed)
-    sink.sig_decoder = vm.loop_signature
-    t0 = time.perf_counter()
-    result = vm.run(args.entry)
-    wall = time.perf_counter() - t0
-    print(format_report(profiler.store, profiler.control))
-    print(
-        f"; exit={result} accesses={profiler.stats.accesses} "
-        f"deps={len(profiler.store)} (merged from "
-        f"{profiler.store.raw_occurrences}) in {wall:.2f}s",
-        file=sys.stderr,
-    )
-    if args.skip_loops:
-        print(
-            f"; skipped {sink.stats.total_skip_percent:.1f}% of "
-            "dependence-leading instructions",
-            file=sys.stderr,
-        )
-    return 0
-
-
-def main_discover(argv=None) -> int:
-    parser = _common_parser("CU-based parallelism discovery")
-    parser.add_argument("--threads", type=int, default=4,
-                        help="thread count assumed by the ranking")
-    args = parser.parse_args(argv)
-    from repro.discovery import discover
-
-    module = _load(args.source)
-    result = discover(
-        module,
-        entry=args.entry,
-        n_threads=args.threads,
-        signature_slots=args.signature_slots,
-        vm_kwargs={"seed": args.seed},
-    )
-    print(result.format_report())
-    print(
-        f"\n; exit={result.return_value} loops analysed={len(result.loops)} "
-        f"suggestions={len(result.suggestions)}",
-        file=sys.stderr,
-    )
-    return 0
-
-
-def main_report(argv=None) -> int:
-    parser = _common_parser("profiling statistics + program execution tree")
-    args = parser.parse_args(argv)
-    module = _load(args.source)
-    profiler = SerialProfiler(
-        PerfectShadow()
-        if args.signature_slots is None
-        else SignatureShadow(args.signature_slots)
-    )
-    pet = PETBuilder()
-
-    def tee(chunk):
-        profiler.process_chunk(chunk)
-        pet.process_chunk(chunk)
-
-    vm = VM(module, tee, seed=args.seed)
-    profiler.sig_decoder = vm.loop_signature
-    result = vm.run(args.entry)
-    print(pet.format_tree())
-    print(
-        f"\nexit={result} reads={profiler.stats.reads} "
-        f"writes={profiler.stats.writes} deps={len(profiler.store)}"
-    )
-    for record in sorted(
-        profiler.control.values(), key=lambda r: r.start_line
-    ):
-        if record.kind == "loop":
-            print(
-                f"loop @{record.start_line}-{record.end_line}: "
-                f"{record.executions} executions, "
-                f"{record.total_iterations} iterations"
-            )
-    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

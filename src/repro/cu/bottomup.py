@@ -19,7 +19,22 @@ from typing import Iterable, Optional
 
 from repro.cu.variables import effective_global_vars
 from repro.mir.module import Module, Region
-from repro.runtime.events import EV_READ, EV_WRITE
+from repro.runtime.events import (
+    COL_ADDR,
+    COL_KIND,
+    COL_LINE,
+    COL_NAME,
+    COL_TID,
+    COL_VAR,
+    EventChunk,
+    K_BGN,
+    K_END,
+    K_FENTRY,
+    K_FEXIT,
+    K_ITER,
+    K_READ,
+    K_WRITE,
+)
 
 
 class _UnionFind:
@@ -81,7 +96,7 @@ class BottomUpBuilder:
         self.region = region
         self.gv = effective_global_vars(module, region)
 
-    def build(self, events: Iterable[tuple]) -> BottomUpResult:
+    def build(self, events: EventChunk) -> BottomUpResult:
         """``events`` must be the memory events of ONE instance of the
         region (same thread), in execution order."""
         uf = _UnionFind()
@@ -95,13 +110,14 @@ class BottomUpBuilder:
         init_occs: list[int] = []
         prev_was_init = False
 
-        for ev in events:
-            kind = ev[0]
-            if kind != EV_READ and kind != EV_WRITE:
+        rows = events.rows
+        for kind, line, var_id in zip(
+            rows[:, COL_KIND].tolist(), rows[:, COL_LINE].tolist(),
+            rows[:, COL_VAR].tolist(),
+        ):
+            if kind > K_WRITE:
                 prev_was_init = False
                 continue
-            line = ev[2]
-            var_id = ev[8]
             if var_id not in self.gv:
                 # instruction on a region-local variable: ignored and
                 # dependences involving it excluded (§3.2.3 step 2)
@@ -111,7 +127,7 @@ class BottomUpBuilder:
             idx = len(occ)
             occ.append((line, var_id, kind))
             uf.find(idx)  # register
-            if kind == EV_READ:
+            if kind == K_READ:
                 readers.setdefault(var_id, []).append(idx)
                 w = writer.get(var_id)
                 if w is not None:
@@ -145,7 +161,7 @@ class BottomUpBuilder:
             roots[idx] = cu.cu_id
             cu.lines.add(line)
             cu.n_instructions += 1
-            if kind == EV_READ:
+            if kind == K_READ:
                 cu.vars_read.add(var_id)
             else:
                 cu.vars_written.add(var_id)
@@ -162,43 +178,41 @@ class BottomUpBuilder:
 
 
 def first_instance_events(
-    events: Iterable[tuple], module: Module, region: Region
-) -> list[tuple]:
+    chunks: Iterable[EventChunk], module: Module, region: Region
+) -> EventChunk:
     """Extract the memory events of the first complete instance of a region
     (first iteration for loops) — the slice the bottom-up builder analyses."""
-    from repro.runtime.events import EV_BGN, EV_END, EV_FENTRY, EV_FEXIT, EV_ITER
-
-    out: list[tuple] = []
-    active = False
+    out: list = []
+    strings = None
+    rid = region.region_id
+    is_func = region.kind == "func"
     tid_of_instance: Optional[int] = None
-    for ev in events:
-        kind = ev[0]
-        if not active:
-            if kind == EV_BGN and ev[1] == region.region_id:
-                active = True
-                tid_of_instance = ev[4]
-            elif (
-                kind == EV_FENTRY
-                and region.kind == "func"
-                and ev[1] == region.func
+    for chunk in chunks:
+        strings = chunk.strings
+        names = strings.values
+        for row in chunk.rows.tolist():
+            kind = row[COL_KIND]
+            if tid_of_instance is None:
+                if (kind == K_BGN and row[COL_ADDR] == rid) or (
+                    kind == K_FENTRY and is_func
+                    and names[row[COL_NAME]] == region.func
+                ):
+                    tid_of_instance = row[COL_TID]
+                continue
+            # end of the instance: next iteration, region end, or return
+            if (kind == K_ITER or kind == K_END) and row[COL_ADDR] == rid or (
+                kind == K_FEXIT and is_func
+                and names[row[COL_NAME]] == region.func
             ):
-                active = True
-                tid_of_instance = ev[3]
-            continue
-        if kind == EV_ITER and ev[1] == region.region_id:
-            break  # end of first iteration
-        if kind == EV_END and ev[1] == region.region_id:
-            break
-        if kind == EV_FEXIT and region.kind == "func" and ev[1] == region.func:
-            break
-        if kind in (EV_READ, EV_WRITE) and ev[5] == tid_of_instance:
-            out.append(ev)
-    return out
+                return EventChunk.from_rows(out, strings)
+            if kind <= K_WRITE and row[COL_TID] == tid_of_instance:
+                out.append(row)
+    return EventChunk.from_rows(out, strings)
 
 
 def build_cus_bottom_up(
-    module: Module, region: Region, events: Iterable[tuple]
+    module: Module, region: Region, chunks: Iterable[EventChunk]
 ) -> BottomUpResult:
     """Convenience: bottom-up CUs of a region's first execution instance."""
-    instance = first_instance_events(events, module, region)
+    instance = first_instance_events(chunks, module, region)
     return BottomUpBuilder(module, region).build(instance)

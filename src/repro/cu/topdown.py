@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-import numpy as np
-
 from repro.cu.model import CU, CURegistry, RegionCUInfo
 from repro.cu.variables import effective_global_vars, read_write_sets
 from repro.mir.instructions import Opcode
@@ -33,13 +31,6 @@ from repro.runtime.events import (
     COL_NAME,
     COL_TID,
     COL_VAR,
-    EV_BGN,
-    EV_END,
-    EV_FENTRY,
-    EV_FEXIT,
-    EV_ITER,
-    EV_READ,
-    EV_WRITE,
     EventChunk,
     K_BGN,
     K_END,
@@ -48,6 +39,7 @@ from repro.runtime.events import (
     K_ITER,
     K_READ,
     K_WRITE,
+    add_line_counts,
 )
 
 
@@ -120,94 +112,28 @@ class TopDownBuilder:
             if inst.region_id == region_id:
                 break
 
-    def process(self, events: Iterable[tuple]) -> None:
-        stacks = self._stacks
-        accum = self._accum
-        line_counts = self.line_counts
-        for ev in events:
-            kind = ev[0]
-            if kind == EV_READ:
-                line = ev[2]
-                tid = ev[5]
-                var_id = ev[8]
-                line_counts[line] = line_counts.get(line, 0) + 1
-                for inst in stacks.get(tid, ()):
-                    if var_id in inst.gv:
-                        acc = accum[inst.region_id]
-                        in_range = inst.start_line <= line <= inst.end_line
-                        if in_range:
-                            acc.read_phase.add((line, var_id))
-                        if var_id in inst.written and in_range:
-                            acc.violations.add((line, var_id))
-            elif kind == EV_WRITE:
-                line = ev[2]
-                tid = ev[5]
-                var_id = ev[8]
-                line_counts[line] = line_counts.get(line, 0) + 1
-                for inst in stacks.get(tid, ()):
-                    if var_id in inst.gv:
-                        acc = accum[inst.region_id]
-                        if inst.start_line <= line <= inst.end_line:
-                            acc.write_phase.add((line, var_id))
-                        inst.written.add(var_id)
-            elif kind == EV_BGN:
-                self._open(ev[4], ev[1])
-            elif kind == EV_END:
-                self._close(ev[4], ev[1])
-            elif kind == EV_ITER:
-                # new loop iteration: per-iteration happens-before resets
-                stack = stacks.get(ev[2], ())
-                for inst in reversed(stack):
-                    if inst.region_id == ev[1]:
-                        inst.written.clear()
-                        break
-            elif kind == EV_FENTRY:
-                region_id = self._func_region.get(ev[1])
-                if region_id is not None:
-                    self._open(ev[3], region_id)
-            elif kind == EV_FEXIT:
-                region_id = self._func_region.get(ev[1])
-                if region_id is not None:
-                    self._close(ev[2], region_id)
-
-    def process_chunks(self, chunks: Iterable) -> None:
-        """Walk a chunked trace; packed chunks take the columnar fast path.
-
-        Accepts the output of ``TraceSink.iter_chunks`` /
-        ``SpillingTraceSink.iter_chunks`` — tuple chunks go through
-        :meth:`process` unchanged.
-        """
+    def process_chunks(self, chunks: Iterable[EventChunk]) -> None:
+        """Walk a chunked trace (``TraceSink.iter_chunks`` /
+        ``SpillingTraceSink.iter_chunks``)."""
         for chunk in chunks:
-            if isinstance(chunk, EventChunk):
-                self._process_columnar(chunk)
-            else:
-                self.process(chunk)
+            self._process_chunk(chunk)
 
-    def _process_columnar(self, chunk: EventChunk) -> None:
+    def _process_chunk(self, chunk: EventChunk) -> None:
         """Columnar trace walk.
 
         Line counts are accumulated with one vectorized ``np.unique`` per
-        chunk instead of two dict operations per event, and the per-event
-        loop runs over bulk-extracted int columns.  The open-instance scan
-        is memoized per ``(stack state, var_id)`` — stacks only change at
-        region markers, so between markers the set of instances whose
-        region-global variables contain a given var is a dict hit instead
-        of a walk with per-instance frozenset probes.  Output
-        (violations, phases, written-sets) is identical to :meth:`process`.
+        chunk, and the per-event loop runs over bulk-extracted int
+        columns.  The open-instance scan is memoized per ``(stack state,
+        var_id)`` — stacks only change at region markers, so between
+        markers the set of instances whose region-global variables contain
+        a given var is a dict hit instead of a walk with per-instance
+        frozenset probes.
         """
         rows = chunk.rows
         if rows.shape[0] == 0:
             return
-        kinds = rows[:, COL_KIND]
-        mem_mask = kinds <= K_WRITE
-        if mem_mask.any():
-            uniq, counts = np.unique(
-                rows[mem_mask, COL_LINE], return_counts=True
-            )
-            line_counts = self.line_counts
-            for line, count in zip(uniq.tolist(), counts.tolist()):
-                line_counts[line] = line_counts.get(line, 0) + count
-        klist = kinds.tolist()
+        add_line_counts(self.line_counts, chunk)
+        klist = rows[:, COL_KIND].tolist()
         regs = rows[:, COL_ADDR].tolist()
         lines = rows[:, COL_LINE].tolist()
         nids = rows[:, COL_NAME].tolist()
@@ -399,8 +325,8 @@ def _split_segments(
     return segments
 
 
-def build_cus(module: Module, events: Iterable[tuple]) -> CURegistry:
-    """One-call top-down CU construction from a module + event iterable."""
+def build_cus(module: Module, chunks: Iterable[EventChunk]) -> CURegistry:
+    """One-call top-down CU construction from a module + trace chunks."""
     builder = TopDownBuilder(module)
-    builder.process(events)
+    builder.process_chunks(chunks)
     return builder.build()

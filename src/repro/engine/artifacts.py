@@ -81,10 +81,10 @@ class ProfileArtifact:
     store: DependenceStore
     control: dict
     #: {"reads": ..., "writes": ..., "accesses": ..., "raw_occurrences": ...,
-    #:  "backend": ..., "chunk_format": ..., "trace_nbytes": ...}
+    #:  "backend": ..., "dispatch": ..., "trace_nbytes": ...}
     stats: dict = field(default_factory=dict)
     module: Optional[Module] = None
-    #: TraceSink or SpillingTraceSink — anything with events()/iter_chunks()
+    #: TraceSink or SpillingTraceSink — anything with iter_chunks()
     trace: Optional[object] = None
     pet: Optional[PETBuilder] = None
     vm: Optional[VM] = None

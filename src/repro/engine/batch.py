@@ -29,6 +29,7 @@ reason (two runners must not last-writer-win each other's counts).
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import multiprocessing
 import os
@@ -231,6 +232,18 @@ def run_job(
     return row
 
 
+def _pool_job(job: dict, **kwargs) -> dict:
+    """:func:`run_job` in a pool worker, then a full collection.
+
+    The profiling VM and its compiled closures reference each other, so
+    a finished job's VM and trace wait for a full collection; without
+    one here, back-to-back jobs in one worker stack their traces.
+    """
+    row = run_job(job, **kwargs)
+    gc.collect()
+    return row
+
+
 # -- quarantine bookkeeping (resume_dir-scoped) ------------------------
 
 
@@ -387,7 +400,7 @@ def run_batch(
         ]
     else:
         runner = functools.partial(
-            run_job, resume_dir=resume_dir, store_options=store_options
+            _pool_job, resume_dir=resume_dir, store_options=store_options
         )
         with ProcessPoolExecutor(max_workers=jobs_parallel) as pool:
             results = list(pool.map(runner, (job for _, job in runnable)))

@@ -52,9 +52,6 @@ class DiscoveryConfig:
     backend: str = "serial"
     #: extra backend constructor options (n_workers, queue_kind, ...)
     backend_options: dict = field(default_factory=dict)
-    #: event chunk representation: "columnar" (packed numpy chunks) or
-    #: "tuple" (legacy per-event tuples)
-    chunk_format: str = "columnar"
     #: VM execution core: "compiled" (closure-specialized dispatch with
     #: fused superinstructions, see :mod:`repro.runtime.compile`) or
     #: "switch" (the bit-exact string-dispatch reference loop)
@@ -155,7 +152,6 @@ class DiscoveryConfig:
             "seed": self.seed,
             "backend": self.backend,
             "backend_options": dict(self.backend_options),
-            "chunk_format": self.chunk_format,
             "dispatch": self.dispatch,
             "detect": self.detect,
             "detect_workers": self.detect_workers,
@@ -191,7 +187,6 @@ class DiscoveryConfig:
             seed=data.get("seed"),
             backend=data.get("backend", "serial"),
             backend_options=dict(data.get("backend_options") or {}),
-            chunk_format=data.get("chunk_format", "columnar"),
             dispatch=data.get("dispatch", "compiled"),
             detect=data.get("detect", "vectorized"),
             detect_workers=data.get("detect_workers", 4),

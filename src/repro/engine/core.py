@@ -66,7 +66,7 @@ from repro.profiler.backends import make_backend
 from repro.profiler.pet import PETBuilder
 from repro.profiler.serial import SerialProfiler
 from repro.profiler.shadow import PerfectShadow
-from repro.runtime.events import SpillingTraceSink, TraceSink
+from repro.runtime.events import SpillingTraceSink, TraceSink, add_line_counts
 from repro.runtime.interpreter import VM
 from repro.simulate.exec_model import collect_iteration_costs
 
@@ -288,12 +288,7 @@ class DiscoveryEngine:
             if attach is not None:
                 attach(self.obs.tracer, self.obs.metrics)
 
-        vm = VM(
-            self.module,
-            tee,
-            chunk_format=config.chunk_format,
-            **config.resolved_vm_kwargs(),
-        )
+        vm = VM(self.module, tee, **config.resolved_vm_kwargs())
         backend.sig_decoder = vm.loop_signature
         self.vm_runs += 1
         import time as _time
@@ -304,11 +299,10 @@ class DiscoveryEngine:
         vm_wall = _time.perf_counter() - t0
         # per-variant wall time: the instrumented execution (event
         # staging and sink processing included) under the core that ran
-        self._record_timing(f"vm_{vm.effective_dispatch}", vm_wall)
+        self._record_timing(f"vm_{vm.dispatch}", vm_wall)
         result = backend.finish()
         stats = dict(result.stats)
-        stats["chunk_format"] = config.chunk_format
-        stats["dispatch"] = vm.effective_dispatch
+        stats["dispatch"] = vm.dispatch
         # source provenance: which frontend lowered the module and where
         # the text came from, serialized with the result like dispatch/
         # detect so downstream consumers can map lines back to the file
@@ -369,9 +363,8 @@ class DiscoveryEngine:
     def build_cus(self, *, force: bool = False) -> CUArtifact:
         """Top-down CU construction over the cached trace.
 
-        Walks the trace chunk-wise: packed chunks take the columnar fast
-        path (vectorized line counts), and a spilling sink re-reads its
-        segments lazily, so the full trace never needs to be resident.
+        Walks the trace chunk-wise: a spilling sink re-reads its segments
+        lazily, so the full trace never needs to be resident.
         """
         if self._cus is None or force:
             import time as _time
@@ -467,17 +460,10 @@ class DiscoveryEngine:
         # anchored line counts attribute a call's entire dynamic subtree to
         # its call site — the work a task node really carries
         anchored_counts: dict[int, int] = {}
-
-        def tally(events):
-            for ev in events:
-                if ev[0] in ("R", "W"):
-                    line = ev[2]
-                    anchored_counts[line] = anchored_counts.get(line, 0) + 1
-                yield ev
-
-        anchored_prof.process_chunk(
-            tally(anchor_events(profile.trace.events(), module, region))
-        )
+        trace = profile.trace.iter_chunks()
+        for chunk in anchor_events(trace, module, region):
+            anchored_prof.process_chunk(chunk)
+            add_line_counts(anchored_counts, chunk)
         # each call site becomes its own CU: calls are the task units
         call_lines = frozenset(call_sites(module, region))
         graph = build_cu_graph(

@@ -39,7 +39,7 @@ from repro.profiler.deps import (
     DependenceStore,
 )
 from repro.profiler.shadow import PerfectShadow, SignatureShadow
-from repro.profiler.serial import SerialProfiler, profile_events, profile_source
+from repro.profiler.serial import SerialProfiler, profile_source
 from repro.profiler.skipping import SkippingProfiler, SkipStats
 from repro.profiler.parallel import ParallelProfiler, ParallelReport
 from repro.profiler.pet import PETBuilder, PETNode
@@ -60,7 +60,6 @@ __all__ = [
     "PerfectShadow",
     "SignatureShadow",
     "SerialProfiler",
-    "profile_events",
     "profile_source",
     "SkippingProfiler",
     "SkipStats",

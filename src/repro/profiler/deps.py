@@ -25,11 +25,11 @@ class DepType:
 
 #: identity tuple: (sink_line, type, source_line, var, loop_carried,
 #:                  sink_tid, source_tid)
-#: NOTE: the columnar fast path mirrors this identity (and the
+#: NOTE: ``repro.profiler.serial.SerialProfiler._merge_dep`` and the
+#: vectorized core's bulk merge mirror this identity (and the
 #: count/carriers/maybe_race merge semantics of :meth:`DependenceStore.add`)
-#: in ``repro.profiler.serial.SerialProfiler._merge_dep`` — change both
-#: together; the tuple/columnar equivalence tests in tests/test_pipeline.py
-#: are the tripwire.
+#: — change all three together; the loop × vectorized matrix in
+#: tests/test_detect.py is the tripwire.
 DepKey = tuple
 
 

@@ -51,16 +51,15 @@ from repro.runtime.events import (
     COL_KIND,
     COL_LINE,
     COL_NAME,
-    EV_BGN,
-    EV_END,
-    EV_FREE,
-    EV_READ,
-    EV_WRITE,
+    COL_TS,
+    N_COLS,
     EventChunk,
     K_BGN,
     K_END,
     K_FREE,
+    K_READ,
     K_WRITE,
+    StringTable,
 )
 
 
@@ -190,22 +189,15 @@ class ParallelProfiler:
     def __call__(self, chunk) -> None:
         self.process_chunk(chunk)
 
-    def process_chunk(self, chunk) -> None:
-        if isinstance(chunk, EventChunk):
-            self._process_columnar(chunk)
-        else:
-            self._process_tuples(chunk)
-
-    def _process_columnar(self, chunk: EventChunk) -> None:
+    def process_chunk(self, chunk: EventChunk) -> None:
         """Vectorized sharding of a packed chunk (Formula 2.1 on a column).
 
         ``addr % W`` runs over the whole address column at once; the
         redistribution overrides — a handful of hot addresses — are then
         patched in with one boolean mask each.  Each worker receives its
         shard as a sub-:class:`EventChunk` (order preserved, string table
-        shared), with the chunk's FREE events appended to every non-empty
-        shard exactly like the tuple path broadcasts them.  Workers then
-        profile their shards through the columnar fast path.
+        shared), with the chunk's FREE events broadcast: appended to every
+        non-empty shard.
         """
         rows = chunk.rows
         n_workers = self.n_workers
@@ -265,50 +257,7 @@ class ParallelProfiler:
             self._rebalance()
             self._chunks_since_rebalance = 0
 
-    def _process_tuples(self, chunk: list) -> None:
-        n_workers = self.n_workers
-        override = self._override
-        counts = self._access_counts
-        parts: list[list] = [[] for _ in range(n_workers)]
-        broadcast: list = []
-        for ev in chunk:
-            kind = ev[0]
-            if kind == EV_READ or kind == EV_WRITE:
-                addr = ev[1]
-                worker = override.get(addr)
-                if worker is None:
-                    worker = addr % n_workers
-                parts[worker].append(ev)
-                counts[addr] = counts.get(addr, 0) + 1
-                self.report.produced_events += 1
-            elif kind == EV_FREE:
-                broadcast.append(ev)
-            elif kind == EV_BGN:
-                rec = self.control.get(ev[1])
-                if rec is None:
-                    rec = ControlRecord(ev[1], ev[2], ev[3], ev[3])
-                    self.control[ev[1]] = rec
-                rec.executions += 1
-            elif kind == EV_END:
-                rec = self.control.get(ev[1])
-                if rec is None:
-                    rec = ControlRecord(ev[1], ev[2], ev[3], ev[3])
-                    self.control[ev[1]] = rec
-                rec.end_line = max(rec.end_line, ev[3])
-                rec.total_iterations += ev[6]
-        for w in range(n_workers):
-            part = parts[w]
-            if broadcast:
-                part.extend(broadcast)
-            if part:
-                self._dispatch(w, part)
-        self.report.produced_chunks += 1
-        self._chunks_since_rebalance += 1
-        if self._chunks_since_rebalance >= self.redistribute_every:
-            self._rebalance()
-            self._chunks_since_rebalance = 0
-
-    def _dispatch(self, worker: int, part: list) -> None:
+    def _dispatch(self, worker: int, part: EventChunk) -> None:
         if self.mode == "simulated":
             self.workers[worker].process_chunk(part)
             self.report.work_units[worker] += len(part)
@@ -358,13 +307,7 @@ class ParallelProfiler:
             self.report.redistributions += 1
 
     def _move_address(self, addr: int, src: int, dst: int) -> None:
-        """Move an address's signature state between workers.
-
-        Only the first four entry fields are the shadow interface; the
-        columnar fast path may append private cached fields (see
-        ``SerialProfiler._process_columnar``), which a move drops — the
-        receiving worker rebuilds them lazily.
-        """
+        """Move an address's signature state between workers."""
         src_prof = self.workers[src]
         dst_prof = self.workers[dst]
         if isinstance(src_prof, VectorizedProfiler):
@@ -374,23 +317,11 @@ class ParallelProfiler:
             return
         src_shadow = src_prof.shadow
         dst_shadow = dst_prof.shadow
-        if (
-            type(src_shadow) is PerfectShadow
-            and type(dst_shadow) is PerfectShadow
-        ):
-            # wholesale entry move keeps any private cached fields intact
-            lw = src_shadow.write.get(addr)
-            if lw is not None:
-                dst_shadow.write[addr] = lw
-            entry = src_shadow.reads.get(addr)
-            if entry:
-                dst_shadow.reads[addr] = dict(entry)
-        else:
-            lw = src_shadow.last_write(addr)
-            if lw is not None:
-                dst_shadow.record_write(addr, *lw[:4])
-            for rd in src_shadow.reads_since_write(addr):
-                dst_shadow.record_read(addr, *rd[:4])
+        lw = src_shadow.last_write(addr)
+        if lw is not None:
+            dst_shadow.record_write(addr, *lw)
+        for rd in src_shadow.reads_since_write(addr):
+            dst_shadow.record_read(addr, *rd)
         src_shadow.evict(addr, 1)
 
     # ------------------------------------------------------------------
@@ -464,10 +395,15 @@ def calibrate_costs(n_probe: int = 200_000) -> CostModel:
     """Micro-measure the per-event costs on this machine."""
     from repro.profiler.queues import LockedQueue, SPSCQueue
 
-    events = [
-        (EV_READ if i % 3 else EV_WRITE, i % 4096, 10 + i % 50, "v", i % 97, 0, i, 0)
-        for i in range(n_probe)
-    ]
+    i = np.arange(n_probe, dtype=np.int64)
+    rows = np.zeros((n_probe, N_COLS), dtype=np.int64)
+    rows[:, COL_KIND] = np.where(i % 3 == 0, K_WRITE, K_READ)
+    rows[:, COL_ADDR] = i % 4096
+    rows[:, COL_LINE] = 10 + i % 50
+    rows[:, COL_NAME] = 1
+    rows[:, COL_AUX] = i % 97
+    rows[:, COL_TS] = i
+    events = EventChunk(rows, StringTable([None, "v"]))
     profiler = SerialProfiler(PerfectShadow(), lambda s: ())
     t0 = time.perf_counter()
     profiler.process_chunk(events)
@@ -476,13 +412,13 @@ def calibrate_costs(n_probe: int = 200_000) -> CostModel:
     t0 = time.perf_counter()
     parts: list[list] = [[] for _ in range(8)]
     counts: dict[int, int] = {}
-    for ev in events:
-        addr = ev[1]
-        parts[addr % 8].append(ev)
+    for row in rows.tolist():
+        addr = row[COL_ADDR]
+        parts[addr % 8].append(row)
         counts[addr] = counts.get(addr, 0) + 1
     c_push = (time.perf_counter() - t0) / n_probe
 
-    chunk = events[:4096]
+    chunk = events.take(slice(0, 4096))
     n_chunks = 200
     spsc = SPSCQueue(capacity=n_chunks + 1)
     t0 = time.perf_counter()

@@ -21,12 +21,6 @@ from repro.runtime.events import (
     COL_LINE,
     COL_NAME,
     COL_TID,
-    EV_BGN,
-    EV_END,
-    EV_FENTRY,
-    EV_FEXIT,
-    EV_READ,
-    EV_WRITE,
     EventChunk,
     K_BGN,
     K_END,
@@ -128,22 +122,15 @@ class PETBuilder:
     def __call__(self, chunk) -> None:
         self.process_chunk(chunk)
 
-    def process_chunk(self, chunk) -> None:
-        if isinstance(chunk, EventChunk):
-            self._process_columnar(chunk)
-        else:
-            self._process_tuples(chunk)
-
-    def _process_columnar(self, chunk: EventChunk) -> None:
-        """Columnar PET construction with batched block attribution.
+    def process_chunk(self, chunk: EventChunk) -> None:
+        """PET construction with batched block attribution.
 
         The tree only changes shape at control markers; between two
         markers every memory event of a thread lands in the same block
         node and attributes to the same enclosing stack.  Runs of memory
         events are therefore split out vectorized and attributed *per
         run* — one counter bump and one ``set.update`` per (run, thread)
-        instead of per event.  The resulting tree is identical to the
-        tuple path's.
+        instead of per event.
         """
         rows = chunk.rows
         n = rows.shape[0]
@@ -171,7 +158,7 @@ class PETBuilder:
                     single = uniq.shape[0] == 1
                     if not single:
                         # keep first-appearance order so node creation
-                        # matches the tuple path's interleaving exactly
+                        # follows the threads' interleaving
                         uniq = uniq[np.argsort(first)]
                     for tid in uniq.tolist():
                         if single:
@@ -224,38 +211,6 @@ class PETBuilder:
         block.lines_touched.update(seg_lines.tolist())
         for node in self._stack(tid)[1:]:
             node.memory_instructions += count
-
-    def _process_tuples(self, chunk: Iterable[tuple]) -> None:
-        for ev in chunk:
-            kind = ev[0]
-            if kind == EV_READ or kind == EV_WRITE:
-                tid = ev[5]
-                block = self._blocks.get(tid)
-                if block is None:
-                    stack = self._stack(tid)
-                    top = stack[-1]
-                    for child in top.children:
-                        if child.kind == "block":
-                            block = child
-                            break
-                    else:
-                        block = top.add_child(
-                            self._new_node("block", f"block@{ev[2]}", ev[2])
-                        )
-                    self._blocks[tid] = block
-                block.memory_instructions += 1
-                block.lines_touched.add(ev[2])
-                # also attribute to enclosing constructs
-                for node in self._stack(tid)[1:]:
-                    node.memory_instructions += 1
-            elif kind == EV_BGN:
-                self._enter(ev[4], ev[2], f"{ev[2]}@{ev[3]}", ev[3])
-            elif kind == EV_END:
-                self._leave(ev[4], ev[2], ev[6])
-            elif kind == EV_FENTRY:
-                self._enter(ev[3], "function", ev[1], ev[2])
-            elif kind == EV_FEXIT:
-                self._leave(ev[2], "function")
 
     # ------------------------------------------------------------------
 

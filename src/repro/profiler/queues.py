@@ -34,13 +34,7 @@ def _item_bytes(item: Any) -> int:
     """Best-effort resident size of one queued chunk."""
     if item is None or item is DONE:
         return 0
-    nbytes = getattr(item, "nbytes", None)
-    if nbytes is not None:
-        return int(nbytes)
-    try:
-        return 64 * len(item)  # legacy tuple chunks: ~64 bytes/event
-    except TypeError:
-        return 64
+    return int(getattr(item, "nbytes", 64))
 
 
 class LockedQueue:

@@ -23,11 +23,13 @@ import random
 from typing import Callable, Optional
 
 from repro.runtime.events import (
-    EV_LOCK,
-    EV_READ,
-    EV_UNLOCK,
-    EV_WRITE,
+    COL_KIND,
+    COL_TID,
     EventChunk,
+    K_LOCK,
+    K_UNLOCK,
+    K_WRITE,
+    StringTable,
 )
 
 
@@ -36,7 +38,7 @@ class DeferredSink:
 
     def __init__(
         self,
-        inner: Callable[[list], None],
+        inner: Callable[[EventChunk], None],
         *,
         window: int = 4,
         seed: int = 7,
@@ -46,44 +48,37 @@ class DeferredSink:
         self.window = window
         self.rng = random.Random(seed)
         self.chunk_size = chunk_size
-        #: per-thread pending events with their release deadline
-        self._pending: dict[int, list[tuple[int, tuple]]] = {}
+        #: per-thread pending rows with their release deadline
+        self._pending: dict[int, list[tuple[int, list]]] = {}
         #: per-thread count of events seen (the release clock)
         self._seen: dict[int, int] = {}
         #: per-thread held-lock depth
         self._locks: dict[int, int] = {}
         self._out: list = []
+        self._strings: Optional[StringTable] = None
 
-    def __call__(self, chunk) -> None:
-        # packed chunks scramble per event too — iterate the legacy view
-        if isinstance(chunk, EventChunk):
-            chunk = chunk.to_tuples()
-        for ev in chunk:
-            self._feed(ev)
+    def __call__(self, chunk: EventChunk) -> None:
+        self._strings = chunk.strings
+        for row in chunk.rows.tolist():
+            self._feed(row)
         self._drain_ready()
 
-    def _feed(self, ev: tuple) -> None:
-        kind = ev[0]
-        if kind == EV_READ or kind == EV_WRITE:
-            tid = ev[5]
-        elif kind in (EV_LOCK, EV_UNLOCK):
-            tid = ev[2]
-        else:
-            tid = None
-
-        if tid is None:
+    def _feed(self, ev: list) -> None:
+        kind = ev[COL_KIND]
+        if kind > K_WRITE and kind != K_LOCK and kind != K_UNLOCK:
             self._out.append(ev)
             return
+        tid = ev[COL_TID]
 
         seen = self._seen.get(tid, 0) + 1
         self._seen[tid] = seen
         pending = self._pending.setdefault(tid, [])
 
-        if kind == EV_LOCK:
+        if kind == K_LOCK:
             self._locks[tid] = self._locks.get(tid, 0) + 1
             pending.append((seen, ev))
             return
-        if kind == EV_UNLOCK:
+        if kind == K_UNLOCK:
             self._locks[tid] = max(0, self._locks.get(tid, 0) - 1)
             pending.append((seen, ev))
             if self._locks[tid] == 0:
@@ -101,10 +96,13 @@ class DeferredSink:
         while pending and pending[0][0] <= seen and self._locks.get(tid, 0) == 0:
             self._out.append(pending.pop(0)[1])
 
+    def _ship(self) -> None:
+        self.inner(EventChunk.from_rows(self._out, self._strings))
+        self._out = []
+
     def _drain_ready(self) -> None:
         if len(self._out) >= self.chunk_size:
-            self.inner(self._out)
-            self._out = []
+            self._ship()
 
     def finish(self) -> None:
         """Flush all pending events (end of program)."""
@@ -112,5 +110,4 @@ class DeferredSink:
             self._out.extend(e for _, e in pending)
             pending.clear()
         if self._out:
-            self.inner(self._out)
-            self._out = []
+            self._ship()

@@ -21,31 +21,12 @@ differ — that loop is recorded as the dependence's *carrier*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
-import numpy as np
-
-from repro.profiler.deps import Dependence, DependenceStore, DepType
-from repro.profiler.shadow import MAX_READS_PER_SLOT, PerfectShadow, SignatureShadow
+from repro.profiler.deps import Dependence, DependenceStore
+from repro.profiler.shadow import PerfectShadow, SignatureShadow
 from repro.runtime.events import (
-    COL_ADDR,
-    COL_AUX,
-    COL_KIND,
-    COL_LINE,
-    COL_NAME,
-    COL_SIG,
-    COL_TID,
-    COL_TS,
-    EV_ALLOC,
-    EV_BGN,
-    EV_END,
-    EV_FENTRY,
-    EV_FEXIT,
-    EV_FREE,
-    EV_ITER,
-    EV_READ,
-    EV_WRITE,
     EventChunk,
     K_BGN,
     K_END,
@@ -134,11 +115,7 @@ class SerialProfiler:
         self.track_control = track_control
         self.stats = ProfileStats()
         self.control: dict[int, ControlRecord] = {}
-        #: sig id -> int-only (regions, iterations, depth) decoded columns
-        self._sig_cache: dict[int, tuple] = {}
-        #: interned region-shape tuples (shape equality as identity)
-        self._shape_intern: dict[tuple, tuple] = {}
-        #: int occurrence key -> Dependence (see _process_columnar)
+        #: int occurrence key -> Dependence (see process_chunk)
         self._dep_memo: dict[int, Dependence] = {}
 
     @property
@@ -148,8 +125,6 @@ class SerialProfiler:
     @sig_decoder.setter
     def sig_decoder(self, fn) -> None:
         self._sig_decoder = fn
-        self._sig_cache.clear()
-        self._shape_intern.clear()
         self._dep_memo.clear()
 
     # ------------------------------------------------------------------
@@ -157,234 +132,146 @@ class SerialProfiler:
     def __call__(self, chunk) -> None:
         self.process_chunk(chunk)
 
-    def process_chunk(self, chunk) -> None:
-        """Profile one chunk — columnar (:class:`EventChunk`) or tuples."""
-        if isinstance(chunk, EventChunk):
-            self._process_columnar(chunk)
-        else:
-            self._process_tuples(chunk)
+    def process_chunk(self, chunk: EventChunk) -> None:
+        """Profile one packed chunk: one tight loop over plain-int columns.
 
-    def _process_tuples(self, chunk: Iterable[tuple]) -> None:
-        shadow = self.shadow
-        store = self.store
-        decode = self.sig_decoder
-        stats = self.stats
-        last_write = shadow.last_write
-        reads_since = shadow.reads_since_write
-        record_read = shadow.record_read
-        record_write = shadow.record_write
+        Column extraction happens once per chunk (``ndarray.tolist`` is a
+        bulk C conversion), so the per-event loop runs over plain ints
+        with zero row indexing, against the shadow *interface* — the same
+        walk serves :class:`PerfectShadow` and :class:`SignatureShadow`.
 
-        for ev in chunk:
-            kind = ev[0]
-            if kind == EV_READ:
-                addr = ev[1]
-                line = ev[2]
-                var = ev[3]
-                tid = ev[5]
-                ts = ev[6]
-                ctx = ev[7]
-                stats.reads += 1
-                lw = last_write(addr)
-                if lw is not None:
-                    carrier = classify_carrier(decode(lw[1]), decode(ctx))
-                    race = lw[3] > ts
-                    store.add(
-                        line,
-                        DepType.RAW,
-                        lw[0],
-                        var,
-                        loop_carried=carrier is not None,
-                        carrier=carrier,
-                        sink_tid=tid,
-                        source_tid=lw[2],
-                        maybe_race=race,
-                    )
-                    stats.deps_built += 1
-                record_read(addr, line, ctx, tid, ts)
-            elif kind == EV_WRITE:
-                addr = ev[1]
-                line = ev[2]
-                var = ev[3]
-                tid = ev[5]
-                ts = ev[6]
-                ctx = ev[7]
-                stats.writes += 1
-                lw = last_write(addr)
-                if lw is None:
-                    store.add_init(line)
-                else:
-                    snk_sig = decode(ctx)
-                    pending_reads = reads_since(addr)
-                    if pending_reads:
-                        for rd in pending_reads:
-                            carrier = classify_carrier(decode(rd[1]), snk_sig)
-                            race = rd[3] > ts
-                            store.add(
-                                line,
-                                DepType.WAR,
-                                rd[0],
-                                var,
-                                loop_carried=carrier is not None,
-                                carrier=carrier,
-                                sink_tid=tid,
-                                source_tid=rd[2],
-                                maybe_race=race,
-                            )
-                            stats.deps_built += 1
-                    else:
-                        carrier = classify_carrier(decode(lw[1]), snk_sig)
-                        race = lw[3] > ts
-                        store.add(
-                            line,
-                            DepType.WAW,
-                            lw[0],
-                            var,
-                            loop_carried=carrier is not None,
-                            carrier=carrier,
-                            sink_tid=tid,
-                            source_tid=lw[2],
-                            maybe_race=race,
-                        )
-                        stats.deps_built += 1
-                record_write(addr, line, ctx, tid, ts)
-            elif kind == EV_FREE:
-                if self.lifetime_analysis:
-                    shadow.evict(ev[1], ev[2])
-                    stats.evictions += 1
-            elif kind == EV_BGN:
-                if self.track_control:
-                    rec = self.control.get(ev[1])
-                    if rec is None:
-                        rec = ControlRecord(ev[1], ev[2], ev[3], ev[3])
-                        self.control[ev[1]] = rec
-                    rec.executions += 1
-            elif kind == EV_END:
-                if self.track_control:
-                    rec = self.control.get(ev[1])
-                    if rec is None:
-                        rec = ControlRecord(ev[1], ev[2], ev[3], ev[3])
-                        self.control[ev[1]] = rec
-                    rec.end_line = max(rec.end_line, ev[3])
-                    rec.total_iterations += ev[6]
-            # ALLOC / LOCK / UNLOCK / FENTRY / FEXIT / ITER / SPAWN /
-            # JOINED need no shadow action here (PETBuilder and the race
-            # jitter model consume them separately).
-
-    # ------------------------------------------------------------------
-    # columnar fast path
-    # ------------------------------------------------------------------
-
-    def _process_columnar(self, chunk: EventChunk) -> None:
-        """Vectorized-mask + tight-loop profiling of a packed chunk.
-
-        Kind counting, the memory/control masks and the static half of the
-        occurrence keys are vectorized; column extraction happens once per
-        chunk (``ndarray.tolist`` is a bulk C conversion) so the per-event
-        loop runs over plain ints with zero tuple indexing.  For the
-        :class:`PerfectShadow` the shadow update is inlined (no per-event
-        method calls); other shadows go through the regular shadow
-        interface.
-
-        The loop memoizes everything the tuple path recomputes from
-        scratch — each memo is a pure shortcut, so the resulting store is
-        bit-identical:
+        The loop memoizes two pure shortcuts, so the resulting store is
+        exactly what per-occurrence merging would build, however the
+        stream is chunked:
 
         * equal interned signature ids mean equal loop contexts, so
           ``src_sig == snk_sig`` short-circuits carrier classification to
-          "not carried" without any decoding; other pairs run an int-only
-          prefix scan over per-id cached ``(regions, iterations)`` columns
-          (cross-iteration id *pairs* never repeat, so only per-id caching
-          helps).  Region tuples are interned, making the common
-          same-nest case an ``is`` check with the depth-1/2 scans
-          unrolled.
+          "not carried" without decoding either signature.
         * an occurrence memo: a dependence's merge identity ``(sink_line,
           type, source_line, var, loop_carried, sink_tid, source_tid)``
           plus its carrier is fully determined by the small ints
           ``(op_id, source_line, source_tid, sink_tid, carrier, type)``
-          (``op_id`` fixes the sink line and variable name).  Packed into
-          one int key — sink half vectorized per chunk, source half
-          precomputed in the shadow entry — repeat occurrences, the
-          overwhelming majority in loops, reduce to one int-dict hit plus
-          a count increment.  The layout leaves 22 bits for source lines,
-          14 for carrier region ids and 7 per thread id (the VM hard-caps
-          threads at 64); ``op_id`` sits above bit 52 and is unbounded —
-          chunks whose op ids exceed the int64-safe 11 bits compose their
-          keys with arbitrary-precision Python ints instead of the
-          vectorized path, so keys never alias.
-
-        The inlined perfect-shadow path extends the shadow entry tuples
-        with two cached fields — ``(line, ctx, tid, ts, sig_cols,
-        src_key)`` — consumers must treat entries as "first four fields
-        fixed, rest private".  One profiler instance must not switch chunk
-        formats mid-run (the engine never does).
+          — ``op_id`` must fix the sink line and variable name, which is
+          why the anchored task walk (:mod:`repro.discovery.lifting`)
+          gives every (op_id, anchor line) pair its own id.  Packed into
+          one Python int key, repeat occurrences — the overwhelming
+          majority in loops — reduce to one int-dict hit plus a count
+          increment.  The layout leaves 22 bits for source lines, 14 for
+          carrier region ids and 7 per thread id (the VM hard-caps
+          threads at 64); ``op_id`` sits above bit 52 and is unbounded.
         """
         rows = chunk.rows
-        n = rows.shape[0]
-        if n == 0:
+        if rows.shape[0] == 0:
             return
-        kinds = rows[:, COL_KIND]
-        n_reads = int((kinds == K_READ).sum())
-        n_writes = int((kinds == K_WRITE).sum())
+        # one bulk C conversion: a plain int list per column (COLUMNS order)
+        klist, addrs, lines, nids, aux, tids, tss, sigs, _ = rows.T.tolist()
         stats = self.stats
-        stats.reads += n_reads
-        stats.writes += n_writes
-        klist = kinds.tolist()
-        addrs = rows[:, COL_ADDR].tolist()
-        lines = rows[:, COL_LINE].tolist()
-        nids = rows[:, COL_NAME].tolist()
-        aux = rows[:, COL_AUX].tolist()
-        tids = rows[:, COL_TID].tolist()
-        tss = rows[:, COL_TS].tolist()
-        sigs = rows[:, COL_SIG].tolist()
-        # Static (sink-side) half of the occurrence keys.  The vectorized
-        # int64 composition is only valid while op_id fits the 11 bits
-        # above the source-line field; larger modules fall back to
-        # arbitrary-precision Python ints (op_id is then unbounded — the
-        # memo key simply grows past 63 bits instead of aliasing).
-        mem_mask = kinds <= K_WRITE
-        op_max = (
-            int(rows[mem_mask, COL_AUX].max()) if mem_mask.any() else 0
-        )
-        if op_max < (1 << 11):
-            base = (
-                (rows[:, COL_AUX] << np.int64(52))
-                | (rows[:, COL_TID] << np.int64(2))
-            ).tolist()
-        else:
-            base = [(op << 52) | (tid << 2) for op, tid in zip(aux, tids)]
-        # source-side key half a future dependence of this event will use
-        srckeys = (
-            (rows[:, COL_LINE] << np.int64(30))
-            | (rows[:, COL_TID] << np.int64(9))
-        ).tolist()
+        stats.reads += klist.count(K_READ)
+        stats.writes += klist.count(K_WRITE)
         names = chunk.strings.values
         store = self.store
         shadow = self.shadow
-        if type(shadow) is PerfectShadow:
-            self._columnar_perfect(
-                klist, addrs, lines, nids, aux, tids, tss, sigs, base,
-                srckeys, names, store, shadow,
-            )
-        else:
-            self._columnar_generic(
-                klist, addrs, lines, nids, aux, tids, tss, sigs, base,
-                names, store, shadow,
-            )
-
-    def _sig_columns(self, sig_id: int) -> tuple:
-        """Decode a signature id to int-only ``(regions, iters, depth)``.
-
-        The regions tuple is interned so signatures of the same loop nest
-        share one object and shape equality becomes an ``is`` check.
-        """
-        pairs = self._sig_decoder(sig_id)
-        regions = tuple(p[0] for p in pairs)
-        shape = self._shape_intern.get(regions)
-        if shape is None:
-            self._shape_intern[regions] = shape = regions
-        cols = (shape, tuple(p[1] for p in pairs), len(pairs))
-        self._sig_cache[sig_id] = cols
-        return cols
+        last_write = shadow.last_write
+        reads_since = shadow.reads_since_write
+        record_read = shadow.record_read
+        record_write = shadow.record_write
+        init_add = store.init_lines.add
+        decode = self._sig_decoder
+        memo = self._dep_memo
+        merge = self._merge_dep
+        built = 0
+        for k, addr, line, nid, op, tid, ts, ctx in zip(
+            klist, addrs, lines, nids, aux, tids, tss, sigs
+        ):
+            if k == K_READ:
+                lw = last_write(addr)
+                if lw is not None:
+                    code = 0
+                    if lw[1] != ctx:
+                        carrier = classify_carrier(decode(lw[1]), decode(ctx))
+                        if carrier is not None:
+                            code = (carrier + 1) << 16
+                    mk = ((op << 52) | (lw[0] << 30) | code
+                          | (lw[2] << 9) | (tid << 2))
+                    dep = memo.get(mk)
+                    if dep is None:
+                        dep = merge(mk, "RAW", line, lw[0], names[nid],
+                                    code, tid, lw[2])
+                    dep.count += 1
+                    if lw[3] > ts:
+                        dep.maybe_race = True
+                    built += 1
+                record_read(addr, line, ctx, tid, ts)
+            elif k == K_WRITE:
+                lw = last_write(addr)
+                if lw is None:
+                    init_add(line)
+                else:
+                    pending = reads_since(addr)
+                    if pending:
+                        var = names[nid]
+                        mk_base = (op << 52) | (tid << 2) | 1
+                        snk_sig = None
+                        for rd in pending:
+                            code = 0
+                            if rd[1] != ctx:
+                                if snk_sig is None:
+                                    snk_sig = decode(ctx)
+                                carrier = classify_carrier(
+                                    decode(rd[1]), snk_sig
+                                )
+                                if carrier is not None:
+                                    code = (carrier + 1) << 16
+                            mk = (mk_base | (rd[0] << 30) | code
+                                  | (rd[2] << 9))
+                            dep = memo.get(mk)
+                            if dep is None:
+                                dep = merge(mk, "WAR", line, rd[0], var,
+                                            code, tid, rd[2])
+                            dep.count += 1
+                            if rd[3] > ts:
+                                dep.maybe_race = True
+                            built += 1
+                    else:
+                        code = 0
+                        if lw[1] != ctx:
+                            carrier = classify_carrier(
+                                decode(lw[1]), decode(ctx)
+                            )
+                            if carrier is not None:
+                                code = (carrier + 1) << 16
+                        mk = ((op << 52) | (lw[0] << 30) | code
+                              | (lw[2] << 9) | (tid << 2) | 2)
+                        dep = memo.get(mk)
+                        if dep is None:
+                            dep = merge(mk, "WAW", line, lw[0], names[nid],
+                                        code, tid, lw[2])
+                        dep.count += 1
+                        if lw[3] > ts:
+                            dep.maybe_race = True
+                        built += 1
+                record_write(addr, line, ctx, tid, ts)
+            elif k == K_FREE:
+                if self.lifetime_analysis:
+                    shadow.evict(addr, op)  # aux column: block size
+                    stats.evictions += 1
+            elif k == K_BGN:
+                if self.track_control:
+                    rec = self.control.get(addr)
+                    if rec is None:
+                        rec = ControlRecord(addr, names[nid], line, line)
+                        self.control[addr] = rec
+                    rec.executions += 1
+            elif k == K_END:
+                if self.track_control:
+                    rec = self.control.get(addr)
+                    if rec is None:
+                        rec = ControlRecord(addr, names[nid], line, line)
+                        self.control[addr] = rec
+                    rec.end_line = max(rec.end_line, line)
+                    rec.total_iterations += op  # aux: iterations
+        stats.deps_built += built
+        store.raw_occurrences += built
 
     def _merge_dep(
         self, memo_key, dep_type, sink_line, source_line, var, code,
@@ -411,384 +298,6 @@ class SerialProfiler:
         self._dep_memo[memo_key] = dep
         return dep
 
-    def _columnar_perfect(
-        self, klist, addrs, lines, nids, aux, tids, tss, sigs, base,
-        srckeys, names, store, shadow,
-    ) -> None:
-        stats = self.stats
-        write = shadow.write
-        reads = shadow.reads
-        init_add = store.init_lines.add
-        sc = self._sig_cache
-        memo = self._dep_memo
-        merge = self._merge_dep
-        sig_cols = self._sig_columns
-        built = 0
-        last_ctx = -1
-        bcols = None
-        idx = -1
-        for k, addr, line, tid, ts, ctx in zip(
-            klist, addrs, lines, tids, tss, sigs
-        ):
-            idx += 1
-            if k == K_READ:
-                lw = write.get(addr)
-                if lw is not None:
-                    lsig = lw[1]
-                    if lsig == ctx:
-                        code = 0
-                    else:
-                        ra, ia, da = lw[4]
-                        if ctx != last_ctx:
-                            bcols = sc.get(ctx)
-                            if bcols is None:
-                                bcols = sig_cols(ctx)
-                            last_ctx = ctx
-                        rb, ib, db = bcols
-                        if ra is rb:
-                            if da == 1:
-                                code = 0 if ia[0] == ib[0] else (ra[0] + 1) << 16
-                            elif da == 2:
-                                if ia[0] != ib[0]:
-                                    code = (ra[0] + 1) << 16
-                                elif ia[1] != ib[1]:
-                                    code = (ra[1] + 1) << 16
-                                else:
-                                    code = 0
-                            else:
-                                code = 0
-                                for d in range(da):
-                                    if ia[d] != ib[d]:
-                                        code = (ra[d] + 1) << 16
-                                        break
-                        else:
-                            code = 0
-                            for d in range(da if da < db else db):
-                                r = ra[d]
-                                if r != rb[d]:
-                                    break
-                                if ia[d] != ib[d]:
-                                    code = (r + 1) << 16
-                                    break
-                    mk = base[idx] | lw[5] | code
-                    dep = memo.get(mk)
-                    if dep is None:
-                        dep = merge(mk, "RAW", line, lw[0], names[nids[idx]],
-                                    code, tid, lw[2])
-                    dep.count += 1
-                    if lw[3] > ts:
-                        dep.maybe_race = True
-                    built += 1
-                entry = reads.get(addr)
-                if entry is None:
-                    if ctx != last_ctx:
-                        bcols = sc.get(ctx)
-                        if bcols is None:
-                            bcols = sig_cols(ctx)
-                        last_ctx = ctx
-                    reads[addr] = {
-                        line: (line, ctx, tid, ts, bcols, srckeys[idx])
-                    }
-                elif line in entry or len(entry) < MAX_READS_PER_SLOT:
-                    if ctx != last_ctx:
-                        bcols = sc.get(ctx)
-                        if bcols is None:
-                            bcols = sig_cols(ctx)
-                        last_ctx = ctx
-                    entry[line] = (line, ctx, tid, ts, bcols, srckeys[idx])
-            elif k == K_WRITE:
-                lw = write.get(addr)
-                if lw is None:
-                    init_add(line)
-                else:
-                    entry = reads.get(addr)
-                    if entry:
-                        var = names[nids[idx]]
-                        mk_base = base[idx] | 1
-                        if ctx != last_ctx:
-                            bcols = sc.get(ctx)
-                            if bcols is None:
-                                bcols = sig_cols(ctx)
-                            last_ctx = ctx
-                        rb, ib, db = bcols
-                        for rd in entry.values():
-                            rsig = rd[1]
-                            if rsig == ctx:
-                                code = 0
-                            else:
-                                ra, ia, da = rd[4]
-                                if ra is rb:
-                                    if da == 1:
-                                        code = (0 if ia[0] == ib[0]
-                                                else (ra[0] + 1) << 16)
-                                    elif da == 2:
-                                        if ia[0] != ib[0]:
-                                            code = (ra[0] + 1) << 16
-                                        elif ia[1] != ib[1]:
-                                            code = (ra[1] + 1) << 16
-                                        else:
-                                            code = 0
-                                    else:
-                                        code = 0
-                                        for d in range(da):
-                                            if ia[d] != ib[d]:
-                                                code = (ra[d] + 1) << 16
-                                                break
-                                else:
-                                    code = 0
-                                    for d in range(da if da < db else db):
-                                        r = ra[d]
-                                        if r != rb[d]:
-                                            break
-                                        if ia[d] != ib[d]:
-                                            code = (r + 1) << 16
-                                            break
-                            mk = mk_base | rd[5] | code
-                            dep = memo.get(mk)
-                            if dep is None:
-                                dep = merge(mk, "WAR", line, rd[0], var,
-                                            code, tid, rd[2])
-                            dep.count += 1
-                            if rd[3] > ts:
-                                dep.maybe_race = True
-                            built += 1
-                    else:
-                        lsig = lw[1]
-                        if lsig == ctx:
-                            code = 0
-                        else:
-                            ra, ia, da = lw[4]
-                            if ctx != last_ctx:
-                                bcols = sc.get(ctx)
-                                if bcols is None:
-                                    bcols = sig_cols(ctx)
-                                last_ctx = ctx
-                            rb, ib, db = bcols
-                            if ra is rb:
-                                if da == 1:
-                                    code = 0 if ia[0] == ib[0] else (ra[0] + 1) << 16
-                                elif da == 2:
-                                    if ia[0] != ib[0]:
-                                        code = (ra[0] + 1) << 16
-                                    elif ia[1] != ib[1]:
-                                        code = (ra[1] + 1) << 16
-                                    else:
-                                        code = 0
-                                else:
-                                    code = 0
-                                    for d in range(da):
-                                        if ia[d] != ib[d]:
-                                            code = (ra[d] + 1) << 16
-                                            break
-                            else:
-                                code = 0
-                                for d in range(da if da < db else db):
-                                    r = ra[d]
-                                    if r != rb[d]:
-                                        break
-                                    if ia[d] != ib[d]:
-                                        code = (r + 1) << 16
-                                        break
-                        mk = base[idx] | lw[5] | code | 2
-                        dep = memo.get(mk)
-                        if dep is None:
-                            dep = merge(mk, "WAW", line, lw[0], names[nids[idx]],
-                                        code, tid, lw[2])
-                        dep.count += 1
-                        if lw[3] > ts:
-                            dep.maybe_race = True
-                        built += 1
-                if ctx != last_ctx:
-                    bcols = sc.get(ctx)
-                    if bcols is None:
-                        bcols = sig_cols(ctx)
-                    last_ctx = ctx
-                write[addr] = (line, ctx, tid, ts, bcols, srckeys[idx])
-                reads.pop(addr, None)
-            elif k == K_FREE:
-                if self.lifetime_analysis:
-                    shadow.evict(addr, aux[idx])
-                    stats.evictions += 1
-            elif k == K_BGN:
-                if self.track_control:
-                    rec = self.control.get(addr)
-                    if rec is None:
-                        rec = ControlRecord(addr, names[nids[idx]], line, line)
-                        self.control[addr] = rec
-                    rec.executions += 1
-            elif k == K_END:
-                if self.track_control:
-                    rec = self.control.get(addr)
-                    if rec is None:
-                        rec = ControlRecord(addr, names[nids[idx]], line, line)
-                        self.control[addr] = rec
-                    rec.end_line = max(rec.end_line, line)
-                    rec.total_iterations += aux[idx]
-        stats.deps_built += built
-        store.raw_occurrences += built
-
-    def _columnar_generic(
-        self, klist, addrs, lines, nids, aux, tids, tss, sigs, base,
-        names, store, shadow,
-    ) -> None:
-        """Columnar loop over the shadow *interface* (signature shadows).
-
-        Same memos as the perfect-shadow fast path, but entries stay in
-        the shadow's own 4-field layout, so source-side signature columns
-        come from the per-id cache instead of the entry.
-        """
-        stats = self.stats
-        last_write = shadow.last_write
-        reads_since = shadow.reads_since_write
-        record_read = shadow.record_read
-        record_write = shadow.record_write
-        init_add = store.init_lines.add
-        sc = self._sig_cache
-        memo = self._dep_memo
-        merge = self._merge_dep
-        sig_cols = self._sig_columns
-        built = 0
-        last_ctx = -1
-        bcols = None
-        idx = -1
-        for k, addr, line, nid, tid, ts, ctx in zip(
-            klist, addrs, lines, nids, tids, tss, sigs
-        ):
-            idx += 1
-            if k == K_READ:
-                lw = last_write(addr)
-                if lw is not None:
-                    lsig = lw[1]
-                    if lsig == ctx:
-                        code = 0
-                    else:
-                        a = sc.get(lsig)
-                        if a is None:
-                            a = sig_cols(lsig)
-                        if ctx != last_ctx:
-                            bcols = sc.get(ctx)
-                            if bcols is None:
-                                bcols = sig_cols(ctx)
-                            last_ctx = ctx
-                        ra, ia, da = a
-                        rb, ib, db = bcols
-                        code = 0
-                        for d in range(da if da < db else db):
-                            r = ra[d]
-                            if r != rb[d]:
-                                break
-                            if ia[d] != ib[d]:
-                                code = (r + 1) << 16
-                                break
-                    mk = (base[idx] | (lw[0] << 30) | code
-                          | (lw[2] << 9))
-                    dep = memo.get(mk)
-                    if dep is None:
-                        dep = merge(mk, "RAW", line, lw[0], names[nid],
-                                    code, tid, lw[2])
-                    dep.count += 1
-                    if lw[3] > ts:
-                        dep.maybe_race = True
-                    built += 1
-                record_read(addr, line, ctx, tid, ts)
-            elif k == K_WRITE:
-                lw = last_write(addr)
-                if lw is None:
-                    init_add(line)
-                else:
-                    pending = reads_since(addr)
-                    if pending:
-                        var = names[nid]
-                        mk_base = base[idx] | 1
-                        if ctx != last_ctx:
-                            bcols = sc.get(ctx)
-                            if bcols is None:
-                                bcols = sig_cols(ctx)
-                            last_ctx = ctx
-                        rb, ib, db = bcols
-                        for rd in pending:
-                            rsig = rd[1]
-                            if rsig == ctx:
-                                code = 0
-                            else:
-                                a = sc.get(rsig)
-                                if a is None:
-                                    a = sig_cols(rsig)
-                                ra, ia, da = a
-                                code = 0
-                                for d in range(da if da < db else db):
-                                    r = ra[d]
-                                    if r != rb[d]:
-                                        break
-                                    if ia[d] != ib[d]:
-                                        code = (r + 1) << 16
-                                        break
-                            mk = (mk_base | (rd[0] << 30) | code
-                                  | (rd[2] << 9))
-                            dep = memo.get(mk)
-                            if dep is None:
-                                dep = merge(mk, "WAR", line, rd[0], var,
-                                            code, tid, rd[2])
-                            dep.count += 1
-                            if rd[3] > ts:
-                                dep.maybe_race = True
-                            built += 1
-                    else:
-                        lsig = lw[1]
-                        if lsig == ctx:
-                            code = 0
-                        else:
-                            a = sc.get(lsig)
-                            if a is None:
-                                a = sig_cols(lsig)
-                            if ctx != last_ctx:
-                                bcols = sc.get(ctx)
-                                if bcols is None:
-                                    bcols = sig_cols(ctx)
-                                last_ctx = ctx
-                            ra, ia, da = a
-                            rb, ib, db = bcols
-                            code = 0
-                            for d in range(da if da < db else db):
-                                r = ra[d]
-                                if r != rb[d]:
-                                    break
-                                if ia[d] != ib[d]:
-                                    code = (r + 1) << 16
-                                    break
-                        mk = (base[idx] | (lw[0] << 30) | code
-                              | (lw[2] << 9) | 2)
-                        dep = memo.get(mk)
-                        if dep is None:
-                            dep = merge(mk, "WAW", line, lw[0], names[nid],
-                                        code, tid, lw[2])
-                        dep.count += 1
-                        if lw[3] > ts:
-                            dep.maybe_race = True
-                        built += 1
-                record_write(addr, line, ctx, tid, ts)
-            elif k == K_FREE:
-                if self.lifetime_analysis:
-                    shadow.evict(addr, aux[idx])
-                    stats.evictions += 1
-            elif k == K_BGN:
-                if self.track_control:
-                    rec = self.control.get(addr)
-                    if rec is None:
-                        rec = ControlRecord(addr, names[nid], line, line)
-                        self.control[addr] = rec
-                    rec.executions += 1
-            elif k == K_END:
-                if self.track_control:
-                    rec = self.control.get(addr)
-                    if rec is None:
-                        rec = ControlRecord(addr, names[nid], line, line)
-                        self.control[addr] = rec
-                    rec.end_line = max(rec.end_line, line)
-                    rec.total_iterations += aux[idx]
-        stats.deps_built += built
-        store.raw_occurrences += built
-
     # ------------------------------------------------------------------
 
     def memory_bytes(self) -> int:
@@ -801,19 +310,6 @@ class SerialProfiler:
 # ---------------------------------------------------------------------------
 # convenience drivers
 # ---------------------------------------------------------------------------
-
-
-def profile_events(
-    events: Iterable[tuple],
-    sig_decoder: Callable[[int], tuple],
-    *,
-    shadow=None,
-    **kwargs,
-) -> SerialProfiler:
-    """Profile an already-recorded event iterable."""
-    profiler = SerialProfiler(shadow, sig_decoder, **kwargs)
-    profiler.process_chunk(events)
-    return profiler
 
 
 def profile_source(

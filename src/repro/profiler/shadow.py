@@ -75,22 +75,16 @@ class PerfectShadow:
         reads = self.reads
         if size > 2 * (len(write) + len(reads)):
             end = base + size
-            survivors = {
+            self.write = {
                 addr: entry
                 for addr, entry in write.items()
                 if not base <= addr < end
             }
-            # in-place: callers (the columnar fast path) hold these
-            # dicts in locals, so the identity must not change
-            write.clear()
-            write.update(survivors)
-            survivors = {
+            self.reads = {
                 addr: entry
                 for addr, entry in reads.items()
                 if not base <= addr < end
             }
-            reads.clear()
-            reads.update(survivors)
             return
         for addr in range(base, base + size):
             write.pop(addr, None)

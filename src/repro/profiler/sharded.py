@@ -170,7 +170,7 @@ def shard_mask(rows: np.ndarray, n_shards: int, shard: int) -> np.ndarray:
     Memory rows partition by ``addr % n_shards`` (Formula 2.1); FREE
     rows broadcast to every shard — eviction must reach each worker
     whose address range a freed block overlaps, exactly like
-    :meth:`ParallelProfiler._process_columnar`.
+    :meth:`ParallelProfiler.process_chunk`.
     """
     kinds = rows[:, COL_KIND]
     mem = kinds <= K_WRITE
@@ -727,7 +727,6 @@ class ShardedDetector:
         self.shipped_events = 0
         self._start_method = start_method
         self._strings: Optional[StringTable] = None
-        self._own_strings: Optional[StringTable] = None
         self._buffer: list[np.ndarray] = []
         self._buffered = 0
         # interned-suffix watermarks: slot 0 (None / empty signature) is
@@ -1287,21 +1286,10 @@ class ShardedDetector:
     def __call__(self, chunk) -> None:
         self.process_chunk(chunk)
 
-    def process_chunk(self, chunk) -> None:
-        """Stage one chunk — columnar (:class:`EventChunk`) or tuples."""
+    def process_chunk(self, chunk: EventChunk) -> None:
+        """Stage one packed chunk."""
         if self._finalized:
             raise RuntimeError("detector already finalized")
-        if not isinstance(chunk, EventChunk):
-            chunk = list(chunk)
-            if not chunk:
-                return
-            if self._own_strings is None:
-                self._own_strings = (
-                    self._strings
-                    if self._strings is not None
-                    else StringTable()
-                )
-            chunk = EventChunk.from_tuples(chunk, self._own_strings)
         if chunk.rows.shape[0] == 0:
             return
         self._bind_strings(chunk.strings)

@@ -26,11 +26,23 @@ of skipped instructions by the dependence type they would have created).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
-from repro.profiler.serial import SerialProfiler
-from repro.runtime.events import EV_FREE, EV_READ, EV_WRITE, EventChunk
+from repro.profiler.serial import SerialProfiler, classify_carrier
+from repro.runtime.events import (
+    COL_ADDR,
+    COL_AUX,
+    COL_KIND,
+    COL_LINE,
+    COL_SIG,
+    COL_TID,
+    COL_TS,
+    EventChunk,
+    K_FREE,
+    K_READ,
+    K_WRITE,
+)
 
 
 @dataclass
@@ -85,7 +97,8 @@ class SkippingProfiler:
     """Wraps a :class:`SerialProfiler`, filtering skippable instructions.
 
     Acts as a VM chunk sink.  Non-memory events pass straight through (the
-    inner profiler still performs lifetime analysis and control tracking).
+    inner profiler still performs lifetime analysis and control tracking);
+    the surviving rows forward to the inner profiler as packed chunks.
     """
 
     def __init__(
@@ -128,13 +141,9 @@ class SkippingProfiler:
     def __call__(self, chunk) -> None:
         self.process_chunk(chunk)
 
-    def process_chunk(self, chunk) -> None:
+    def process_chunk(self, chunk: EventChunk) -> None:
         # The skipping filter is inherently per-event (its state machine
-        # keys on single instructions), so packed chunks are consumed
-        # through the legacy tuple view; the surviving events forward to
-        # the inner profiler as tuple chunks either way.
-        if isinstance(chunk, EventChunk):
-            chunk = chunk.to_tuples()
+        # keys on single instructions), so it walks the chunk row by row.
         forward: list = []
         stats = self.stats
         status_map = self._status
@@ -147,15 +156,17 @@ class SkippingProfiler:
         # updates must stay in program order relative to profiled events,
         # so the forward buffer is flushed before any direct shadow access.
         shadow = self.inner.shadow
-        inner_process = self.inner.process_chunk
+        strings = chunk.strings
         decode = self.inner.sig_decoder
-        from repro.profiler.serial import classify_carrier
 
-        for ev in chunk:
-            kind = ev[0]
-            if kind == EV_READ:
-                addr = ev[1]
-                op = ev[4]
+        def inner_process(rows: list) -> None:
+            self.inner.process_chunk(EventChunk.from_rows(rows, strings))
+
+        for ev in chunk.rows.tolist():
+            kind = ev[COL_KIND]
+            if kind == K_READ:
+                addr = ev[COL_ADDR]
+                op = ev[COL_AUX]
                 entry = status_map.get(addr)
                 if entry is None:
                     entry = [-1, -1, False]
@@ -174,11 +185,11 @@ class SkippingProfiler:
                     lw = shadow.last_write(addr)
                     if lw is None:
                         carried_bit = False
-                    elif lw[1] == ev[7]:
+                    elif lw[1] == ev[COL_SIG]:
                         carried_bit = False  # identical loop context
                     else:
                         carried_bit = classify_carrier(
-                            decode(lw[1]), decode(ev[7])
+                            decode(lw[1]), decode(ev[COL_SIG])
                         ) is not None
                     status = (entry[0], entry[1], carried_bit)
                     if last_status.get(op) == status:
@@ -194,7 +205,8 @@ class SkippingProfiler:
                             stats.pure_skips += 1
                         else:
                             entry[0] = op
-                        shadow.record_read(addr, ev[2], ev[7], ev[5], ev[6])
+                        shadow.record_read(addr, ev[COL_LINE], ev[COL_SIG],
+                                           ev[COL_TID], ev[COL_TS])
                         entry[2] = True
                         continue
                     stats.processed += 1
@@ -210,9 +222,9 @@ class SkippingProfiler:
                     entry[0] = op
                     entry[2] = True
                     forward.append(ev)
-            elif kind == EV_WRITE:
-                addr = ev[1]
-                op = ev[4]
+            elif kind == K_WRITE:
+                addr = ev[COL_ADDR]
+                op = ev[COL_AUX]
                 entry = status_map.get(addr)
                 if entry is None:
                     entry = [-1, -1, False]
@@ -242,11 +254,11 @@ class SkippingProfiler:
                     if pending:
                         parts = []
                         for rd in pending:
-                            if rd[1] == ev[7]:
+                            if rd[1] == ev[COL_SIG]:
                                 parts.append((rd[0], False))
                             else:
                                 if snk_sig is None:
-                                    snk_sig = decode(ev[7])
+                                    snk_sig = decode(ev[COL_SIG])
                                 parts.append(
                                     (rd[0],
                                      classify_carrier(decode(rd[1]), snk_sig)
@@ -257,13 +269,14 @@ class SkippingProfiler:
                         lw = shadow.last_write(addr)
                         if lw is None:
                             would_set = None
-                        elif lw[1] == ev[7]:
+                        elif lw[1] == ev[COL_SIG]:
                             would_set = (lw[0], False)
                         else:
                             would_set = (
                                 lw[0],
                                 classify_carrier(decode(lw[1]),
-                                                 decode(ev[7])) is not None,
+                                                 decode(ev[COL_SIG]))
+                                is not None,
                             )
                     status = (entry[0], entry[1], entry[2], would_set)
                     if last_status.get(op) == status:
@@ -278,7 +291,8 @@ class SkippingProfiler:
                             stats.pure_skips += 1
                         else:
                             entry[1] = op
-                        shadow.record_write(addr, ev[2], ev[7], ev[5], ev[6])
+                        shadow.record_write(addr, ev[COL_LINE], ev[COL_SIG],
+                                            ev[COL_TID], ev[COL_TS])
                         entry[2] = False
                         continue
                     stats.processed += 1
@@ -295,8 +309,8 @@ class SkippingProfiler:
                     entry[2] = False
                     forward.append(ev)
             else:
-                if kind == EV_FREE:
-                    base, size = ev[1], ev[2]
+                if kind == K_FREE:
+                    base, size = ev[COL_ADDR], ev[COL_AUX]
                     if size > 2 * len(status_map):
                         end = base + size
                         status_map = self._status = {

@@ -54,7 +54,7 @@ ratio.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -279,8 +279,6 @@ class VectorizedProfiler:
         self.frontier = ShadowFrontier()
         #: Formula-2.2 hash conflicts observed (signature mode only)
         self.collisions = 0
-        #: string table for tuple chunks packed through the legacy codec
-        self._strings: Optional[StringTable] = None
         self._buffer: list[np.ndarray] = []
         self._buffered = 0
         self._buffer_strings: Optional[StringTable] = None
@@ -434,15 +432,8 @@ class VectorizedProfiler:
     def __call__(self, chunk) -> None:
         self.process_chunk(chunk)
 
-    def process_chunk(self, chunk) -> None:
-        """Stage one chunk — columnar (:class:`EventChunk`) or tuples."""
-        if not isinstance(chunk, EventChunk):
-            chunk = list(chunk)
-            if not chunk:
-                return
-            if self._strings is None:
-                self._strings = StringTable()
-            chunk = EventChunk.from_tuples(chunk, self._strings)
+    def process_chunk(self, chunk: EventChunk) -> None:
+        """Stage one packed chunk."""
         rows = chunk.rows
         if rows.shape[0] == 0:
             return
@@ -1084,14 +1075,3 @@ class VectorizedProfiler:
         self.flush()
         return self.store
 
-
-def profile_events_vectorized(
-    events: Iterable[tuple],
-    sig_decoder: Callable[[int], tuple],
-    **kwargs,
-) -> VectorizedProfiler:
-    """Profile an already-recorded event iterable (convenience driver)."""
-    profiler = VectorizedProfiler(sig_decoder=sig_decoder, **kwargs)
-    profiler.process_chunk(events)
-    profiler.flush()
-    return profiler

@@ -13,26 +13,25 @@ paper's producer/consumer profiling pipeline (§2.3.3).
 """
 
 from repro.runtime.events import (
-    EV_READ,
-    EV_WRITE,
-    EV_BGN,
-    EV_END,
-    EV_ITER,
-    EV_FENTRY,
-    EV_FEXIT,
-    EV_ALLOC,
-    EV_FREE,
-    EV_LOCK,
-    EV_UNLOCK,
-    EV_SPAWN,
-    EV_JOINED,
+    K_READ,
+    K_WRITE,
+    K_BGN,
+    K_END,
+    K_ITER,
+    K_FENTRY,
+    K_FEXIT,
+    K_ALLOC,
+    K_FREE,
+    K_LOCK,
+    K_UNLOCK,
+    K_SPAWN,
+    K_JOINED,
     EVENT_DTYPE,
     ChunkBuilder,
     EventChunk,
     SpillingTraceSink,
     StringTable,
     TraceSink,
-    CallbackSink,
     load_trace,
     save_trace,
 )
@@ -48,26 +47,25 @@ from repro.runtime.memory import MemoryLayout
 from repro.runtime.interpreter import VM, VMError, run_module, run_source
 
 __all__ = [
-    "EV_READ",
-    "EV_WRITE",
-    "EV_BGN",
-    "EV_END",
-    "EV_ITER",
-    "EV_FENTRY",
-    "EV_FEXIT",
-    "EV_ALLOC",
-    "EV_FREE",
-    "EV_LOCK",
-    "EV_UNLOCK",
-    "EV_SPAWN",
-    "EV_JOINED",
+    "K_READ",
+    "K_WRITE",
+    "K_BGN",
+    "K_END",
+    "K_ITER",
+    "K_FENTRY",
+    "K_FEXIT",
+    "K_ALLOC",
+    "K_FREE",
+    "K_LOCK",
+    "K_UNLOCK",
+    "K_SPAWN",
+    "K_JOINED",
     "EVENT_DTYPE",
     "ChunkBuilder",
     "EventChunk",
     "SpillingTraceSink",
     "StringTable",
     "TraceSink",
-    "CallbackSink",
     "load_trace",
     "save_trace",
     "INLINE_OPS",

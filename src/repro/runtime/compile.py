@@ -37,9 +37,7 @@ run instead of per instruction — compiled once per function.
 
 Each function compiles to **two variants**, selected by the owning VM:
 
-* **traced** — emits the instrumentation event stream (columnar chunks
-  only; the legacy tuple stream keeps the switch loop as its reference
-  encoder);
+* **traced** — emits the instrumentation event stream;
 * **untraced** — zero instrumentation branches; used by the
   ``validate.py`` sequential reruns and by
   :class:`~repro.parallelize.scheduler.ParallelVM` task bodies.
@@ -66,10 +64,6 @@ from weakref import WeakKeyDictionary
 
 from repro.mir.instructions import BINOPS, UNOPS
 from repro.runtime.events import (
-    EV_JOINED,
-    EV_LOCK,
-    EV_SPAWN,
-    EV_UNLOCK,
     K_BGN,
     K_ITER,
     K_JOINED,
@@ -1158,7 +1152,7 @@ def _make_spawn(vm, pc, instr, traced):
         if dest is not None:
             regs[dest] = child.tid
         if instrument:
-            vm._emit_simple(K_SPAWN, EV_SPAWN, child.tid, th.tid)
+            vm._emit_simple(K_SPAWN, child.tid, th.tid)
         # break the dispatch loop so the scheduler can interleave
         th.pc = nxt
         return -1
@@ -1183,7 +1177,7 @@ def _make_join(vm, pc, instr, traced):
             raise VMError(f"join of unknown thread {target}")
         if threads[target].status == DONE:
             if instrument:
-                vm._emit_simple(K_JOINED, EV_JOINED, target, th.tid)
+                vm._emit_simple(K_JOINED, target, th.tid)
             return nxt
         th.status = BLOCKED_JOIN
         th.wait_target = target
@@ -1210,7 +1204,7 @@ def _make_lock(vm, pc, instr, traced):
         if owner is None:
             vm._lock_owner[lock_id] = tid
             if instrument:
-                vm._emit_simple(K_LOCK, EV_LOCK, lock_id, tid)
+                vm._emit_simple(K_LOCK, lock_id, tid)
             return nxt
         if owner == tid:
             raise VMError(f"thread {tid} re-locks lock {lock_id}")
@@ -1241,7 +1235,7 @@ def _make_unlock(vm, pc, instr, traced):
             )
         del vm._lock_owner[lock_id]
         if instrument:
-            vm._emit_simple(K_UNLOCK, EV_UNLOCK, lock_id, tid)
+            vm._emit_simple(K_UNLOCK, lock_id, tid)
         waiters = vm._lock_waiters.get(lock_id)
         if waiters:
             woken = waiters.popleft()

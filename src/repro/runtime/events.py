@@ -1,34 +1,12 @@
-"""Instrumentation event stream formats.
+"""The instrumentation event stream: packed columnar chunks.
 
-Two chunk representations flow through the pipeline:
+The VM emits its event stream as :class:`EventChunk` s — a packed numpy
+array (:data:`EVENT_DTYPE`): one int64 row of :data:`N_COLS` columns per
+event, kinds int-coded (:data:`K_READ` ...), strings (variable/function
+names, region kinds) interned through a :class:`StringTable`.  Every
+event kind maps onto the same nine columns (see :data:`COLUMNS`).
 
-* **Legacy tuple chunks** — lists of plain tuples whose first element is a
-  one-character kind code.  Layouts::
-
-      (EV_READ,   addr, line, var, op_id, tid, ts, loop_sig, var_id)
-      (EV_WRITE,  addr, line, var, op_id, tid, ts, loop_sig, var_id)
-      (EV_BGN,    region_id, kind, line, tid, ts)
-      (EV_END,    region_id, kind, line, tid, ts, iterations)
-      (EV_ITER,   region_id, tid, ts)
-      (EV_FENTRY, func_name, line, tid, ts, call_line)
-      (EV_FEXIT,  func_name, tid, ts)
-      (EV_ALLOC,  base, size, tid, ts)          # stack frame or heap block
-      (EV_FREE,   base, size, tid, ts)          # lifetime end of a block
-      (EV_LOCK,   lock_id, tid, ts)             # lock acquired
-      (EV_UNLOCK, lock_id, tid, ts)
-      (EV_SPAWN,  child_tid, tid, ts)
-      (EV_JOINED, joined_tid, tid, ts)
-
-* **Columnar chunks** (:class:`EventChunk`) — a packed numpy structured
-  array (:data:`EVENT_DTYPE`): one int64 row of :data:`N_COLS` columns per
-  event, kinds int-coded (:data:`K_READ` ...), strings (variable/function
-  names, region kinds) interned through a :class:`StringTable`.  Every
-  legacy layout maps onto the same nine columns (see :data:`COLUMNS`); the
-  adapter :meth:`EventChunk.to_tuples` decodes rows back to the legacy
-  tuples bit-for-bit, so tuple-era consumers keep working unchanged —
-  iterating an :class:`EventChunk` yields legacy tuples.
-
-``loop_sig`` is an interned id of the thread's loop-context stack
+``sig`` is an interned id of the thread's loop-context stack
 ``((region_id, iteration), ...)`` at the time of the access — the dependence
 builder uses it to classify loop-carried dependences.  ``ts`` is a global
 logical timestamp (one tick per executed instruction) — the paper's
@@ -41,25 +19,9 @@ from __future__ import annotations
 import os
 import tempfile
 from collections import deque
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional
 
 import numpy as np
-
-EV_READ = "R"
-EV_WRITE = "W"
-EV_BGN = "G"
-EV_END = "E"
-EV_ITER = "I"
-EV_FENTRY = "C"
-EV_FEXIT = "X"
-EV_ALLOC = "A"
-EV_FREE = "F"
-EV_LOCK = "L"
-EV_UNLOCK = "U"
-EV_SPAWN = "S"
-EV_JOINED = "J"
-
-MEMORY_KINDS = (EV_READ, EV_WRITE)
 
 # ---------------------------------------------------------------------------
 # packed columnar format
@@ -80,23 +42,6 @@ K_LOCK = 9
 K_UNLOCK = 10
 K_SPAWN = 11
 K_JOINED = 12
-
-KIND_CODE = {
-    EV_READ: K_READ,
-    EV_WRITE: K_WRITE,
-    EV_BGN: K_BGN,
-    EV_END: K_END,
-    EV_ITER: K_ITER,
-    EV_FENTRY: K_FENTRY,
-    EV_FEXIT: K_FEXIT,
-    EV_ALLOC: K_ALLOC,
-    EV_FREE: K_FREE,
-    EV_LOCK: K_LOCK,
-    EV_UNLOCK: K_UNLOCK,
-    EV_SPAWN: K_SPAWN,
-    EV_JOINED: K_JOINED,
-}
-CODE_KIND = {code: kind for kind, code in KIND_CODE.items()}
 
 #: column order of a packed row.  Per kind:
 #:
@@ -133,8 +78,8 @@ EVENT_NBYTES = EVENT_DTYPE.itemsize
 class StringTable:
     """Bidirectional interning of the strings an event stream carries.
 
-    Index 0 is reserved for ``None`` (memory events of unnamed temporaries
-    carry ``var=None`` in the legacy tuples).  The table only ever grows, so
+    Index 0 is reserved for ``None`` (the name of memory events of unnamed
+    temporaries, whose ``var`` column is -1).  The table only ever grows, so
     ids stay valid for the lifetime of a trace; chunks hold a reference to
     the table instead of copies.
     """
@@ -177,69 +122,8 @@ class StringTable:
         return cls(values)
 
 
-def _encode_row(ev: tuple, strings: StringTable) -> tuple:
-    """One legacy tuple -> one packed int row (the slow reference codec)."""
-    kind = ev[0]
-    code = KIND_CODE[kind]
-    if code <= K_WRITE:
-        var_id = ev[8]
-        return (code, ev[1], ev[2], strings.intern(ev[3]), ev[4], ev[5],
-                ev[6], ev[7], -1 if var_id is None else var_id)
-    if code == K_BGN:
-        return (code, ev[1], ev[3], strings.intern(ev[2]), 0, ev[4], ev[5],
-                0, 0)
-    if code == K_END:
-        return (code, ev[1], ev[3], strings.intern(ev[2]), ev[6], ev[4],
-                ev[5], 0, 0)
-    if code == K_ITER:
-        return (code, ev[1], 0, 0, 0, ev[2], ev[3], 0, 0)
-    if code == K_FENTRY:
-        return (code, 0, ev[2], strings.intern(ev[1]), ev[5], ev[3], ev[4],
-                0, 0)
-    if code == K_FEXIT:
-        return (code, 0, 0, strings.intern(ev[1]), 0, ev[2], ev[3], 0, 0)
-    if code in (K_ALLOC, K_FREE):
-        return (code, ev[1], 0, 0, ev[2], ev[3], ev[4], 0, 0)
-    # LOCK / UNLOCK / SPAWN / JOINED: (kind, operand, tid, ts)
-    return (code, ev[1], 0, 0, 0, ev[2], ev[3], 0, 0)
-
-
-def _decode_row(row: list, names: list) -> tuple:
-    """One packed int row -> the legacy tuple (inverse of _encode_row)."""
-    code = row[COL_KIND]
-    if code <= K_WRITE:
-        var_id = row[COL_VAR]
-        return (EV_READ if code == K_READ else EV_WRITE, row[COL_ADDR],
-                row[COL_LINE], names[row[COL_NAME]], row[COL_AUX],
-                row[COL_TID], row[COL_TS], row[COL_SIG],
-                None if var_id == -1 else var_id)
-    if code == K_BGN:
-        return (EV_BGN, row[COL_ADDR], names[row[COL_NAME]], row[COL_LINE],
-                row[COL_TID], row[COL_TS])
-    if code == K_END:
-        return (EV_END, row[COL_ADDR], names[row[COL_NAME]], row[COL_LINE],
-                row[COL_TID], row[COL_TS], row[COL_AUX])
-    if code == K_ITER:
-        return (EV_ITER, row[COL_ADDR], row[COL_TID], row[COL_TS])
-    if code == K_FENTRY:
-        return (EV_FENTRY, names[row[COL_NAME]], row[COL_LINE],
-                row[COL_TID], row[COL_TS], row[COL_AUX])
-    if code == K_FEXIT:
-        return (EV_FEXIT, names[row[COL_NAME]], row[COL_TID], row[COL_TS])
-    if code == K_ALLOC or code == K_FREE:
-        return (EV_ALLOC if code == K_ALLOC else EV_FREE, row[COL_ADDR],
-                row[COL_AUX], row[COL_TID], row[COL_TS])
-    return (CODE_KIND[code], row[COL_ADDR], row[COL_TID], row[COL_TS])
-
-
 class EventChunk:
-    """One packed columnar chunk: a ``(n, N_COLS)`` int64 array + strings.
-
-    Iterating an :class:`EventChunk` yields the legacy tuples, so every
-    tuple-era consumer (PET builder, CU walker, skipping filter, tests)
-    accepts a columnar chunk unmodified; columnar-aware consumers detect
-    the type and read the columns directly instead.
-    """
+    """One packed columnar chunk: a ``(n, N_COLS)`` int64 array + strings."""
 
     __slots__ = ("rows", "strings")
 
@@ -247,17 +131,10 @@ class EventChunk:
         self.rows = rows
         self.strings = strings
 
-    # -- construction --------------------------------------------------
-
     @classmethod
-    def from_tuples(
-        cls, events: Iterable[tuple], strings: Optional[StringTable] = None
-    ) -> "EventChunk":
-        """Pack legacy tuples (the migration codec; the VM packs natively)."""
-        strings = strings if strings is not None else StringTable()
-        staged = [_encode_row(ev, strings) for ev in events]
-        rows = np.array(staged, dtype=np.int64).reshape(len(staged), N_COLS)
-        return cls(rows, strings)
+    def from_rows(cls, rows: list, strings: StringTable) -> "EventChunk":
+        """Pack a list of staged int rows (per-event filters forward these)."""
+        return cls(np.array(rows, dtype=np.int64).reshape(-1, N_COLS), strings)
 
     # -- columns -------------------------------------------------------
 
@@ -293,16 +170,6 @@ class EventChunk:
     @property
     def nbytes(self) -> int:
         return self.rows.nbytes
-
-    # -- legacy view ---------------------------------------------------
-
-    def to_tuples(self) -> Iterator[tuple]:
-        """Decode rows back to the legacy tuple layouts, in order."""
-        names = self.strings.values
-        for row in self.rows.tolist():
-            yield _decode_row(row, names)
-
-    __iter__ = to_tuples
 
 
 class ChunkBuilder:
@@ -357,20 +224,6 @@ class ChunkBuilder:
         return EventChunk(rows, self.strings)
 
 
-def estimate_tuple_bytes(chunk: list) -> int:
-    """Approximate heap footprint of a legacy tuple chunk (for nbytes)."""
-    import sys
-
-    if not chunk:
-        return 0
-    sample = chunk[0]
-    per_event = sys.getsizeof(sample) + 8 * len(sample) + 8
-    return sys.getsizeof(chunk) + per_event * len(chunk)
-
-
-Chunk = Union[list, EventChunk]
-
-
 # ---------------------------------------------------------------------------
 # sinks
 # ---------------------------------------------------------------------------
@@ -379,46 +232,31 @@ Chunk = Union[list, EventChunk]
 class TraceSink:
     """Sink that records the entire event stream in memory.
 
-    Accepts both chunk representations.  ``n_events`` is maintained in
-    exactly one place (:meth:`__call__`); every other view (``__len__``,
-    iteration) derives from the recorded chunks.  ``nbytes`` exposes the
-    resident footprint so memory pressure is observable.
+    ``n_events`` is maintained in exactly one place (:meth:`__call__`);
+    every other view (``__len__``, iteration) derives from the recorded
+    chunks.  ``nbytes`` exposes the resident footprint so memory pressure
+    is observable.
     """
 
     def __init__(self) -> None:
-        self.chunks: list[Chunk] = []
+        self.chunks: list[EventChunk] = []
         self.n_events = 0
 
-    def __call__(self, chunk: Chunk) -> None:
+    def __call__(self, chunk: EventChunk) -> None:
         self.chunks.append(chunk)
         self.n_events += len(chunk)
 
-    def iter_chunks(self) -> Iterator[Chunk]:
-        """The recorded chunks in arrival order (columnar-aware walkers)."""
+    def iter_chunks(self) -> Iterator[EventChunk]:
+        """The recorded chunks in arrival order."""
         yield from self.chunks
-
-    def events(self) -> Iterator[tuple]:
-        for chunk in self.chunks:
-            yield from chunk
-
-    def memory_events(self) -> Iterator[tuple]:
-        for event in self.events():
-            if event[0] in MEMORY_KINDS:
-                yield event
 
     def __len__(self) -> int:
         return self.n_events
 
     @property
     def nbytes(self) -> int:
-        """Resident bytes across recorded chunks (estimate for tuples)."""
-        total = 0
-        for chunk in self.chunks:
-            if isinstance(chunk, EventChunk):
-                total += chunk.nbytes
-            else:
-                total += estimate_tuple_bytes(chunk)
-        return total
+        """Resident bytes across recorded chunks."""
+        return sum(chunk.nbytes for chunk in self.chunks)
 
 
 class SpillingTraceSink:
@@ -432,14 +270,10 @@ class SpillingTraceSink:
     notably the sharded detection workers — can
     ``np.load(..., mmap_mode="r")`` zero-copy straight out of the page
     cache instead of decompressing per segment (:attr:`segment_paths`
-    exposes the on-disk files).  :meth:`events` / :meth:`iter_chunks`
-    re-iterate the full trace in order, loading spilled segments lazily,
-    so CU construction and report generation no longer need the whole
-    trace in memory.
-
-    Tuple chunks are packed on arrival through the reference codec; the
-    columnar VM hands over already-packed chunks and shares its string
-    table.
+    exposes the on-disk files).  :meth:`iter_chunks` re-iterates the full
+    trace in order, loading spilled segments lazily, so CU construction
+    and report generation no longer need the whole trace in memory.  The
+    VM hands over packed chunks and shares its string table.
     """
 
     def __init__(
@@ -465,12 +299,8 @@ class SpillingTraceSink:
 
     # -- ingestion -----------------------------------------------------
 
-    def __call__(self, chunk: Chunk) -> None:
-        if not isinstance(chunk, EventChunk):
-            if self._strings is None:
-                self._strings = StringTable()
-            chunk = EventChunk.from_tuples(chunk, self._strings)
-        elif self._strings is None:
+    def __call__(self, chunk: EventChunk) -> None:
+        if self._strings is None:
             self._strings = chunk.strings
         self.n_events += len(chunk)
         self._resident.append(chunk)
@@ -533,15 +363,6 @@ class SpillingTraceSink:
                     yield EventChunk(data["rows"], strings)
         yield from self._resident
 
-    def events(self) -> Iterator[tuple]:
-        for chunk in self.iter_chunks():
-            yield from chunk
-
-    def memory_events(self) -> Iterator[tuple]:
-        for event in self.events():
-            if event[0] in MEMORY_KINDS:
-                yield event
-
     def __len__(self) -> int:
         return self.n_events
 
@@ -586,12 +407,7 @@ def save_trace(sink, path: str) -> None:
     arrays: dict[str, np.ndarray] = {}
     strings: Optional[StringTable] = None
     for i, chunk in enumerate(sink.iter_chunks()):
-        if not isinstance(chunk, EventChunk):
-            if strings is None:
-                strings = StringTable()
-            chunk = EventChunk.from_tuples(chunk, strings)
-        else:
-            strings = chunk.strings
+        strings = chunk.strings
         arrays[f"rows_{i:06d}"] = chunk.rows
     if strings is None:
         strings = StringTable()
@@ -610,24 +426,21 @@ def load_trace(path: str) -> TraceSink:
     return sink
 
 
-class CallbackSink:
-    """Adapts a per-event callback into a chunk sink."""
-
-    def __init__(self, fn: Callable[[tuple], None]) -> None:
-        self.fn = fn
-
-    def __call__(self, chunk: Iterable[tuple]) -> None:
-        fn = self.fn
-        for event in chunk:
-            fn(event)
+def add_line_counts(counts: dict, chunk: EventChunk) -> None:
+    """Add one chunk's memory-event count per source line to ``counts``."""
+    rows = chunk.rows
+    lines, n = np.unique(
+        rows[rows[:, COL_KIND] <= K_WRITE, COL_LINE], return_counts=True
+    )
+    for line, count in zip(lines.tolist(), n.tolist()):
+        counts[line] = counts.get(line, 0) + count
 
 
 def count_memory_accesses(sink) -> tuple[int, int]:
     """(reads, writes) in a recorded trace."""
     reads = writes = 0
-    for event in sink.events():
-        if event[0] == EV_READ:
-            reads += 1
-        elif event[0] == EV_WRITE:
-            writes += 1
+    for chunk in sink.iter_chunks():
+        kinds = chunk.kind
+        reads += int((kinds == K_READ).sum())
+        writes += int((kinds == K_WRITE).sum())
     return reads, writes

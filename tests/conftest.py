@@ -7,7 +7,7 @@ import pytest
 from repro.mir.lowering import compile_source
 from repro.profiler.serial import SerialProfiler
 from repro.profiler.shadow import PerfectShadow
-from repro.runtime.events import TraceSink
+from repro.runtime.events import EventChunk, StringTable, TraceSink
 from repro.runtime.interpreter import VM
 
 
@@ -35,6 +35,16 @@ def profile_program(source: str, *, entry: str = "main", shadow=None, **vm_kwarg
     profiler.sig_decoder = vm.loop_signature
     result = vm.run(entry)
     return profiler, trace, vm, result, module
+
+
+def make_chunk(rows) -> EventChunk:
+    """Pack hand-built ``K_*`` rows; a str in the name column is interned."""
+    strings = StringTable()
+    packed = [
+        [strings.intern(v) if isinstance(v, str) else v for v in row]
+        for row in rows
+    ]
+    return EventChunk.from_rows(packed, strings)
 
 
 @pytest.fixture

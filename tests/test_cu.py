@@ -42,7 +42,7 @@ def _run_with_cus(src):
     vm = VM(module, tee)
     prof.sig_decoder = vm.loop_signature
     vm.run()
-    registry = build_cus(module, trace.events())
+    registry = build_cus(module, trace.iter_chunks())
     return module, trace, prof, registry
 
 
@@ -261,7 +261,7 @@ class TestBottomUp:
     def test_fig_3_4_iteration_single_cu(self):
         module, trace, _, _ = _run_with_cus(FIG34)
         loop = module.loops()[0]
-        result = build_cus_bottom_up(module, loop, trace.events())
+        result = build_cus_bottom_up(module, loop, trace.iter_chunks())
         # the whole iteration merges into one CU via WAR on x
         assert result.n_cus == 1
         assert result.mean_cu_size_lines() >= 3
@@ -282,7 +282,7 @@ int main() {
         vm = VM(module, trace)
         vm.run()
         loop = module.loops()[0]
-        result = build_cus_bottom_up(module, loop, trace.events())
+        result = build_cus_bottom_up(module, loop, trace.iter_chunks())
         # x-chain and y-chain do not merge (no anti-dependence between them)
         assert result.n_cus == 2
 
@@ -290,7 +290,7 @@ int main() {
         """§3.3: bottom-up granularity is at least as fine as top-down."""
         module, trace, _, registry = _run_with_cus(FIG34)
         main_region = module.region_of_function("main")
-        bu = build_cus_bottom_up(module, main_region, trace.events())
+        bu = build_cus_bottom_up(module, main_region, trace.iter_chunks())
         td = registry.info(main_region.region_id)
         assert bu.n_cus >= 1
         # bottom-up analyses a single instance; its CUs never span more

@@ -4,9 +4,9 @@ The overhaul's contract: the segmented-scan detector
 (:mod:`repro.profiler.vectorized`) is an exact, faster drop-in for the
 per-event loop detector — bit-identical :class:`DependenceStore`
 contents and control records on every registry workload (threaded
-included), across chunk formats, batch boundaries, shadow modes, and
-variable-lifetime eviction — selected through ``DiscoveryConfig.detect``
-and reported in ``DiscoveryResult.profile_stats``.
+included), across batch boundaries, shadow modes, and variable-lifetime
+eviction — selected through ``DiscoveryConfig.detect`` and reported in
+``DiscoveryResult.profile_stats``.
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ from repro.profiler.shadow import (
     SignatureShadow,
 )
 from repro.profiler.vectorized import ShadowFrontier, VectorizedProfiler
-from repro.runtime.events import EV_FREE, EV_READ, EV_WRITE, TraceSink
+from repro.runtime.events import K_FREE, K_READ, K_WRITE, TraceSink
 from repro.runtime.interpreter import VM
 from repro.workloads import REGISTRY, get_workload
+from tests.conftest import make_chunk
 
 ALL_WORKLOADS = sorted(REGISTRY)
 THREADED = [n for n in ALL_WORKLOADS if REGISTRY[n].threaded]
@@ -37,23 +38,20 @@ THREADED = [n for n in ALL_WORKLOADS if REGISTRY[n].threaded]
 BOUNDARY_WORKLOADS = ("histogram", "fft", "md5-pthread")
 
 
-def record(name: str, *, chunk_format: str = "columnar", **vm_kwargs):
+def record(name: str, **vm_kwargs):
     workload = get_workload(name)
     module = workload.compile(1)
     trace = TraceSink()
-    vm = VM(module, trace, chunk_format=chunk_format, **vm_kwargs)
+    vm = VM(module, trace, **vm_kwargs)
     vm.run(workload.entry)
     return trace, vm
 
 
-def loop_profile(trace, vm, *, slots=None, tuples=False):
+def loop_profile(trace, vm, *, slots=None):
     shadow = PerfectShadow() if slots is None else SignatureShadow(slots)
     profiler = SerialProfiler(shadow, vm.loop_signature)
     for chunk in trace.chunks:
-        if tuples:
-            profiler.process_chunk(list(chunk))
-        else:
-            profiler.process_chunk(chunk)
+        profiler.process_chunk(chunk)
     return profiler
 
 
@@ -79,16 +77,17 @@ def state_of(profiler):
 
 
 class TestThreeWayMatrix:
-    """tuple loop × columnar loop × vectorized over the whole registry."""
+    """loop × vectorized (batched) × vectorized (per chunk, the parallel
+    profiler's threaded-worker mode) over the whole registry."""
 
     @pytest.mark.parametrize("name", ALL_WORKLOADS)
     def test_store_equality(self, name):
         trace, vm = record(name)
-        tuple_loop = loop_profile(trace, vm, tuples=True)
-        columnar_loop = loop_profile(trace, vm)
+        loop = loop_profile(trace, vm)
         vectorized = vec_profile(trace, vm)
-        assert state_of(tuple_loop) == state_of(columnar_loop), name
-        assert state_of(columnar_loop) == state_of(vectorized), name
+        per_chunk = vec_profile(trace, vm, batch_events=0)
+        assert state_of(loop) == state_of(vectorized), name
+        assert state_of(vectorized) == state_of(per_chunk), name
 
     def test_threaded_present(self):
         # the matrix above must include every threaded workload
@@ -120,22 +119,24 @@ class TestFrontierBoundaries:
 
     def test_read_cap_across_batches(self):
         """MAX_READS_PER_SLOT survives a frontier round-trip."""
-        events = []
+        rows = []
         ts = 0
         # 20 distinct read lines against one address, write closes over
-        # them; split mid-read-set by a 1-event batch size
-        events.append((EV_WRITE, 7, 1, "x", 0, 0, ts, 0, 0))
+        # them; split mid-read-set by a 1-event batch size.  Op ids are
+        # per static access, as the VM emits them: one op, one line.
+        rows.append((K_WRITE, 7, 1, "x", 1, 0, ts, 0, 0))
         for line in range(10, 10 + MAX_READS_PER_SLOT + 4):
             ts += 1
-            events.append((EV_READ, 7, line, "x", 1, 0, ts, 0, 0))
+            rows.append((K_READ, 7, line, "x", line, 0, ts, 0, 0))
         ts += 1
-        events.append((EV_WRITE, 7, 99, "x", 2, 0, ts, 0, 0))
+        rows.append((K_WRITE, 7, 99, "x", 99, 0, ts, 0, 0))
+        events = make_chunk(rows)
         loop = SerialProfiler(PerfectShadow(), lambda s: ())
         loop.process_chunk(events)
         for batch in (0, 1, 3, 1000):
             vec = VectorizedProfiler(batch_events=batch)
-            for ev in events:
-                vec.process_chunk([ev])
+            for i in range(len(events)):
+                vec.process_chunk(events.take([i]))
             vec.flush()
             assert vec.store.to_dict() == loop.store.to_dict(), batch
         wars = [d for d in loop.store.all() if d.type == "WAR"]
@@ -146,24 +147,20 @@ class TestEviction:
     """Variable-lifetime analysis: bulk eviction, frontier-aware."""
 
     def _lifetime_events(self, base, size):
-        events = []
+        rows = []
         ts = 0
         for i in range(8):
-            events.append(
-                (EV_WRITE, base + i, 5, "a", i, 0, ts, 0, 0)
-            )
+            rows.append((K_WRITE, base + i, 5, "a", i, 0, ts, 0, 0))
             ts += 1
-            events.append((EV_READ, base + i, 6, "a", i, 0, ts, 0, 0))
+            rows.append((K_READ, base + i, 6, "a", i, 0, ts, 0, 0))
             ts += 1
-        events.append((EV_FREE, base, size, 0, ts))
+        rows.append((K_FREE, base, 0, 0, size, 0, ts, 0, 0))
         ts += 1
         # the reused region must not see dependences across the free
         for i in range(8):
-            events.append(
-                (EV_WRITE, base + i, 15, "b", 20 + i, 0, ts, 0, 0)
-            )
+            rows.append((K_WRITE, base + i, 15, "b", 20 + i, 0, ts, 0, 0))
             ts += 1
-        return events
+        return make_chunk(rows)
 
     def test_large_block_evict_is_bulk(self):
         """Evicting a huge dead block must not walk its byte range."""
@@ -184,20 +181,18 @@ class TestEviction:
         assert not any(d.sink_line == 15 for d in profiler.store.all())
 
     def test_bulk_evict_inside_columnar_chunk(self):
-        """The columnar loop path caches the shadow dicts in locals, so
-        bulk eviction must mutate them in place, not rebind them."""
-        from repro.runtime.events import EventChunk
-
+        """A bulk eviction mid-chunk is seen by the rest of the chunk's
+        walk, exactly as if the free had ended a chunk."""
         events = self._lifetime_events(1000, 10_000_000)
-        tuple_prof = SerialProfiler(PerfectShadow(), lambda s: ())
-        tuple_prof.process_chunk(events)
-        columnar_prof = SerialProfiler(PerfectShadow(), lambda s: ())
-        columnar_prof.process_chunk(EventChunk.from_tuples(events))
-        assert (
-            columnar_prof.store.to_dict() == tuple_prof.store.to_dict()
-        )
-        assert columnar_prof.shadow.n_tracked == 8
-        assert 15 in columnar_prof.store.init_lines
+        whole = SerialProfiler(PerfectShadow(), lambda s: ())
+        whole.process_chunk(events)
+        split = SerialProfiler(PerfectShadow(), lambda s: ())
+        free_at = 17  # the FREE row: 16 accesses precede it
+        split.process_chunk(events.take(slice(0, free_at + 1)))
+        split.process_chunk(events.take(slice(free_at + 1, None)))
+        assert whole.store.to_dict() == split.store.to_dict()
+        assert whole.shadow.n_tracked == 8
+        assert 15 in whole.store.init_lines
 
     def test_bulk_evict_matches_range_walk(self):
         """Bulk filtering and the small-range walk agree exactly."""
@@ -218,8 +213,8 @@ class TestEviction:
         for batch in (0, 1, 4, 1000):
             vec = VectorizedProfiler(batch_events=batch)
             t0 = time.perf_counter()
-            for ev in events:
-                vec.process_chunk([ev])
+            for i in range(len(events)):
+                vec.process_chunk(events.take([i]))
             vec.flush()
             assert time.perf_counter() - t0 < 2.0
             assert vec.store.to_dict() == loop.store.to_dict(), batch
@@ -243,7 +238,7 @@ class TestBackendsAndConfig:
         results = {}
         for detect in ("loop", "vectorized"):
             backend = make_backend("serial", detect=detect)
-            vm = VM(module, backend, chunk_format="columnar")
+            vm = VM(module, backend)
             backend.sig_decoder = vm.loop_signature
             vm.run(workload.entry)
             result = backend.finish()
@@ -269,7 +264,7 @@ class TestBackendsAndConfig:
             backend = make_backend(
                 "parallel", n_workers=4, detect=detect
             )
-            vm = VM(module, backend, chunk_format="columnar")
+            vm = VM(module, backend)
             backend.sig_decoder = vm.loop_signature
             vm.run(workload.entry)
             result = backend.finish()
@@ -325,10 +320,10 @@ class TestBackendsAndConfig:
 
 class TestFrontierUnit:
     def test_scalar_queries_and_moves(self):
-        events = [
-            (EV_WRITE, 42, 3, "x", 0, 1, 5, 0, 0),
-            (EV_READ, 42, 4, "x", 1, 2, 6, 0, 0),
-        ]
+        events = make_chunk([
+            (K_WRITE, 42, 3, "x", 0, 1, 5, 0, 0),
+            (K_READ, 42, 4, "x", 1, 2, 6, 0, 0),
+        ])
         vec = VectorizedProfiler()
         vec.process_chunk(events)
         vec.flush()
@@ -349,7 +344,7 @@ class TestFrontierUnit:
         assert frontier.memory_bytes() >= 0
 
     def test_batching_defers_until_flush(self):
-        events = [(EV_WRITE, 1, 3, "x", 0, 0, 0, 0, 0)]
+        events = make_chunk([(K_WRITE, 1, 3, "x", 0, 0, 0, 0, 0)])
         vec = VectorizedProfiler(batch_events=1 << 20)
         vec.process_chunk(events)
         assert len(vec.store) == 0 and not vec.store.init_lines

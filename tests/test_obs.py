@@ -406,7 +406,7 @@ class TestShardedErrorObs:
 
         workload = get_workload("histogram")
         trace = TraceSink()
-        vm = VM(workload.compile(1), trace, chunk_format="columnar")
+        vm = VM(workload.compile(1), trace)
         vm.run(workload.entry)
         det = ShardedDetector(None, vm.loop_signature, n_shards=2)
         det.attach_obs(Tracer(enabled=True), MetricsRegistry())
@@ -470,11 +470,28 @@ class TestObsCLI:
         out = tmp_path / "d.trace.json"
         assert main([
             "discover", "--workload", "fib", "--obs", "trace",
-            "--detect", "vectorized", "--no-validate",
             "--trace-out", str(out),
         ]) == 0
         doc = json.loads(out.read_text())
         assert any(e["ph"] == "X" for e in doc["traceEvents"])
+
+    def test_discover_obs_is_purely_observational(self, tmp_path, capsys):
+        """``--obs trace`` records spans; it must not pick another
+        detection core or add a validate leg."""
+        runs = {}
+        for obs in ("off", "trace"):
+            assert main([
+                "discover", "--workload", "matmul", "--obs", obs,
+                "--trace-out", str(tmp_path / "m.trace.json"),
+                "--format", "json",
+            ]) == 0
+            runs[obs] = json.loads(capsys.readouterr().out)
+        off, traced = runs["off"], runs["trace"]
+        for key in ("store", "loops", "suggestions", "validations"):
+            assert traced[key] == off[key], key
+        assert traced["profile_stats"]["detect"] == "vectorized"
+        assert off["profile_stats"]["detect"] == "vectorized"
+        assert traced["selfprof"] and not off["selfprof"]
 
     def test_trace_out_without_trace_mode_warns(self, tmp_path, capsys):
         out = tmp_path / "never.json"

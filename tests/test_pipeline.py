@@ -1,9 +1,10 @@
-"""Columnar event pipeline: packing, equivalence, spilling, backends.
+"""Columnar event pipeline: packing, chunking, spilling, backends.
 
-The refactor's contract: the packed (columnar) event path is an exact,
-faster drop-in for the legacy tuple path — bit-identical DependenceStore
-contents, identical control records and shadow behaviour — while the
-spilling sink bounds resident trace memory without losing re-iterability.
+The contract: chunk boundaries carry no meaning — every consumer builds
+bit-identical DependenceStore contents, control records, shadow
+behaviour, PETs and CU registries however the stream is chunked — and
+the spilling sink bounds resident trace memory without losing
+re-iterability.
 """
 
 from __future__ import annotations
@@ -17,70 +18,68 @@ from repro.cu.topdown import TopDownBuilder
 from repro.engine import DiscoveryConfig, DiscoveryEngine
 from repro.mir.lowering import compile_source
 from repro.profiler.backends import make_backend
-from repro.profiler.parallel import ParallelProfiler
 from repro.profiler.pet import PETBuilder
 from repro.profiler.serial import SerialProfiler
 from repro.profiler.shadow import PerfectShadow, SignatureShadow
 from repro.profiler.skipping import SkippingProfiler
 from repro.runtime.events import (
     EVENT_DTYPE,
+    EVENT_NBYTES,
     EventChunk,
+    K_READ,
+    K_WRITE,
     SpillingTraceSink,
     StringTable,
     TraceSink,
     load_trace,
     save_trace,
 )
-from repro.runtime.interpreter import VM, run_source
+from repro.runtime.interpreter import VM
 from repro.workloads import get_workload
+from tests.conftest import make_chunk
 
 TEXTBOOK = "histogram"
 NAS = "CG"
+#: re-chunking width of the chunk-boundary equivalence tests
+SMALL_CHUNK = 7
 
 
-def record(module, entry: str, chunk_format: str, **vm_kwargs):
+def record(module, entry: str, **vm_kwargs):
     trace = TraceSink()
-    vm = VM(module, trace, chunk_format=chunk_format, **vm_kwargs)
+    vm = VM(module, trace, **vm_kwargs)
     vm.run(entry)
     return trace, vm
 
 
+def rows_of(trace) -> np.ndarray:
+    return np.concatenate([chunk.rows for chunk in trace.iter_chunks()])
+
+
+def rechunk(trace, size: int):
+    """The same stream cut into ``size``-row chunks (shared strings)."""
+    for chunk in trace.chunks:
+        for start in range(0, len(chunk), size):
+            yield chunk.take(slice(start, start + size))
+
+
 @pytest.fixture(scope="module")
 def recorded():
-    """Both-format traces for the textbook + NAS workloads."""
+    """Traces of the textbook + NAS workloads."""
     out = {}
     for name in (TEXTBOOK, NAS):
         workload = get_workload(name)
-        module = workload.compile(1)
-        out[name] = {
-            fmt: record(module, workload.entry, fmt)
-            for fmt in ("tuple", "columnar")
-        }
+        out[name] = record(workload.compile(1), workload.entry)
     return out
 
 
 class TestPackedFormat:
-    def test_decoded_stream_is_bit_identical(self, recorded):
-        for name, pair in recorded.items():
-            tuples = list(pair["tuple"][0].events())
-            decoded = list(pair["columnar"][0].events())
-            assert tuples == decoded, name
-
     def test_event_dtype_layout(self, recorded):
-        chunk = recorded[TEXTBOOK]["columnar"][0].chunks[0]
+        chunk = recorded[TEXTBOOK][0].chunks[0]
         assert isinstance(chunk, EventChunk)
         structured = chunk.structured
         assert structured.dtype == EVENT_DTYPE
         assert structured.shape[0] == len(chunk)
         assert chunk.nbytes == len(chunk) * EVENT_DTYPE.itemsize
-
-    def test_pack_roundtrip_from_tuples(self, recorded):
-        trace = recorded[TEXTBOOK]["tuple"][0]
-        events = list(trace.events())[:500]
-        chunk = EventChunk.from_tuples(events)
-        assert list(chunk.to_tuples()) == events
-        taken = chunk.take(np.arange(10))
-        assert list(taken) == events[:10]
 
     def test_string_table_reserves_none(self):
         table = StringTable()
@@ -94,54 +93,54 @@ class TestPackedFormat:
 
 class TestSinkAccounting:
     def test_n_events_single_source_of_truth(self, recorded):
-        for pair in recorded.values():
-            for trace, _ in pair.values():
-                assert trace.n_events == sum(len(c) for c in trace.chunks)
-                assert len(trace) == trace.n_events
-                assert trace.n_events == sum(1 for _ in trace.events())
+        for trace, _ in recorded.values():
+            assert trace.n_events == sum(len(c) for c in trace.chunks)
+            assert len(trace) == trace.n_events
+            assert trace.n_events == rows_of(trace).shape[0]
 
     def test_nbytes_observable(self, recorded):
-        tuple_trace = recorded[TEXTBOOK]["tuple"][0]
-        packed_trace = recorded[TEXTBOOK]["columnar"][0]
-        assert packed_trace.nbytes == packed_trace.n_events * 72
-        # the tuple estimate is per-event and strictly larger
-        assert tuple_trace.nbytes > packed_trace.nbytes
+        trace = recorded[TEXTBOOK][0]
+        assert EVENT_NBYTES == 72
+        assert trace.nbytes == trace.n_events * EVENT_NBYTES
 
 
-def profile_trace(trace, vm, shadow=None):
+def profile_trace(chunks, vm, shadow=None):
     profiler = SerialProfiler(
         shadow if shadow is not None else PerfectShadow(), vm.loop_signature
     )
-    for chunk in trace.chunks:
+    for chunk in chunks:
         profiler.process_chunk(chunk)
     return profiler
 
 
 class TestSerialEquivalence:
+    """The occurrence memo and signature caches persist across chunks:
+    re-chunking the stream must not change anything the walk builds."""
+
     @pytest.mark.parametrize("name", [TEXTBOOK, NAS])
     def test_dependence_store_bit_identical(self, recorded, name):
-        pair = recorded[name]
-        p_tuple = profile_trace(*pair["tuple"])
-        p_packed = profile_trace(*pair["columnar"])
-        assert p_tuple.store.to_dict() == p_packed.store.to_dict()
-        assert {k: r.to_dict() for k, r in p_tuple.control.items()} == {
-            k: r.to_dict() for k, r in p_packed.control.items()
+        trace, vm = recorded[name]
+        whole = profile_trace(trace.chunks, vm)
+        small = profile_trace(rechunk(trace, SMALL_CHUNK), vm)
+        assert whole.store.to_dict() == small.store.to_dict()
+        assert {k: r.to_dict() for k, r in whole.control.items()} == {
+            k: r.to_dict() for k, r in small.control.items()
         }
-        assert p_tuple.stats.reads == p_packed.stats.reads
-        assert p_tuple.stats.writes == p_packed.stats.writes
-        assert p_tuple.stats.deps_built == p_packed.stats.deps_built
-        assert p_tuple.stats.evictions == p_packed.stats.evictions
+        assert whole.stats.reads == small.stats.reads
+        assert whole.stats.writes == small.stats.writes
+        assert whole.stats.deps_built == small.stats.deps_built
+        assert whole.stats.evictions == small.stats.evictions
 
     @pytest.mark.parametrize("name", [TEXTBOOK, NAS])
     def test_signature_shadow_collisions_unchanged(self, recorded, name):
-        pair = recorded[name]
-        s_tuple = SignatureShadow(251)
-        s_packed = SignatureShadow(251)
-        p_tuple = profile_trace(*pair["tuple"], shadow=s_tuple)
-        p_packed = profile_trace(*pair["columnar"], shadow=s_packed)
-        assert p_tuple.store.to_dict() == p_packed.store.to_dict()
-        assert s_tuple.collisions == s_packed.collisions
-        assert s_tuple.collisions > 0  # 251 slots must alias something
+        trace, vm = recorded[name]
+        s_whole = SignatureShadow(251)
+        s_small = SignatureShadow(251)
+        whole = profile_trace(trace.chunks, vm, shadow=s_whole)
+        small = profile_trace(rechunk(trace, SMALL_CHUNK), vm, shadow=s_small)
+        assert whole.store.to_dict() == small.store.to_dict()
+        assert s_whole.collisions == s_small.collisions
+        assert s_whole.collisions > 0  # 251 slots must alias something
 
     def test_large_op_ids_do_not_alias_memo_keys(self):
         """op_id past the int64-safe 11 bits must not merge distinct deps.
@@ -150,17 +149,16 @@ class TestSerialEquivalence:
         ``op_id >= 2048``, aliasing (op 5, op 4101) into one memo key and
         silently merging two different RAW dependences.
         """
-        events = [
-            ("W", 1, 1, "x", 5, 0, 1, 0, 1),
-            ("R", 1, 10, "x", 5, 0, 2, 0, 1),
-            ("R", 1, 99, "y", 4101, 0, 3, 0, 2),
-        ]
-        p_tuple = SerialProfiler(PerfectShadow())
-        p_tuple.process_chunk(events)
-        p_packed = SerialProfiler(PerfectShadow())
-        p_packed.process_chunk(EventChunk.from_tuples(events))
-        assert p_tuple.store.to_dict() == p_packed.store.to_dict()
-        assert len(p_packed.store) == 2
+        events = make_chunk([
+            (K_WRITE, 1, 1, "x", 0, 0, 1, 0, 1),
+            (K_READ, 1, 10, "x", 5, 0, 2, 0, 1),
+            (K_READ, 1, 99, "y", 4101, 0, 3, 0, 2),
+        ])
+        profiler = SerialProfiler(PerfectShadow())
+        profiler.process_chunk(events)
+        assert {(d.sink_line, d.source_line, d.var) for d in profiler.store} == {
+            (10, 1, "x"), (99, 1, "y"),
+        }
 
     def test_multithreaded_equivalence(self):
         src = """
@@ -182,83 +180,56 @@ class TestSerialEquivalence:
         }
         """
         module = compile_source(src)
-        results = {}
-        for fmt in ("tuple", "columnar"):
-            trace, vm = record(module, "main", fmt, quantum=8)
-            results[fmt] = profile_trace(trace, vm)
-        assert (
-            results["tuple"].store.to_dict()
-            == results["columnar"].store.to_dict()
-        )
-
-
-class TestParallelEquivalence:
-    @pytest.mark.parametrize("name", [TEXTBOOK, NAS])
-    def test_sharded_store_matches_tuple_path(self, recorded, name):
-        pair = recorded[name]
-        stores = {}
-        for fmt, (trace, vm) in pair.items():
-            profiler = ParallelProfiler(
-                4, sig_decoder=vm.loop_signature, redistribute_every=4
-            )
-            for chunk in trace.chunks:
-                profiler.process_chunk(chunk)
-            stores[fmt] = profiler.finish()
-            report = profiler.report
-            assert report.produced_events > 0
-        assert stores["tuple"].to_dict() == stores["columnar"].to_dict()
+        trace, vm = record(module, "main", quantum=8)
+        whole = profile_trace(trace.chunks, vm)
+        small = profile_trace(rechunk(trace, SMALL_CHUNK), vm)
+        assert whole.store.to_dict() == small.store.to_dict()
+        assert {d.sink_tid for d in whole.store} > {0}
 
 
 class TestSkippingAndPET:
     def test_skipping_accepts_packed_chunks(self, recorded):
-        pair = recorded[TEXTBOOK]
-        results = {}
-        for fmt, (trace, vm) in pair.items():
+        trace, vm = recorded[TEXTBOOK]
+        skippers = []
+        for chunks in (trace.chunks, rechunk(trace, SMALL_CHUNK)):
             skipper = SkippingProfiler(
                 SerialProfiler(PerfectShadow(), vm.loop_signature)
             )
-            for chunk in trace.chunks:
+            for chunk in chunks:
                 skipper.process_chunk(chunk)
-            results[fmt] = skipper
-        assert (
-            results["tuple"].store.to_dict()
-            == results["columnar"].store.to_dict()
-        )
-        assert (
-            results["tuple"].stats.skipped
-            == results["columnar"].stats.skipped
-        )
+            skippers.append(skipper)
+        whole, small = skippers
+        assert whole.store.to_dict() == small.store.to_dict()
+        assert whole.stats.skipped == small.stats.skipped > 0
+        # skipping only drops repeat occurrences, never a dependence
+        assert whole.store.keys() == profile_trace(
+            trace.chunks, vm
+        ).store.keys()
 
     def test_pet_tree_identical(self, recorded):
-        for name, pair in recorded.items():
-            trees = {}
-            for fmt, (trace, _) in pair.items():
+        for name, (trace, _) in recorded.items():
+            trees = []
+            for chunks in (trace.chunks, rechunk(trace, SMALL_CHUNK)):
                 pet = PETBuilder()
-                for chunk in trace.chunks:
+                for chunk in chunks:
                     pet.process_chunk(chunk)
-                trees[fmt] = pet
-            assert (
-                trees["tuple"].format_tree(max_depth=12)
-                == trees["columnar"].format_tree(max_depth=12)
-            ), name
+                trees.append(pet.format_tree(max_depth=12))
+            assert trees[0] == trees[1], name
 
 
 class TestCUWalk:
     @pytest.mark.parametrize("name", [TEXTBOOK, NAS])
     def test_topdown_registry_identical(self, recorded, name):
-        pair = recorded[name]
-        workload = get_workload(name)
-        module = workload.compile(1)
-        registries = {}
-        for fmt, (trace, _) in pair.items():
+        trace, _ = recorded[name]
+        module = get_workload(name).compile(1)
+        registries = []
+        for chunks in (trace.iter_chunks(), rechunk(trace, SMALL_CHUNK)):
             builder = TopDownBuilder(module)
-            builder.process_chunks(trace.iter_chunks())
-            registries[fmt] = (builder.build(), dict(builder.line_counts))
-        assert registries["tuple"][1] == registries["columnar"][1]
-        assert (
-            registries["tuple"][0].to_dict()
-            == registries["columnar"][0].to_dict()
-        )
+            builder.process_chunks(chunks)
+            registries.append(
+                (builder.build().to_dict(), dict(builder.line_counts))
+            )
+        assert registries[0] == registries[1]
 
 
 class TestSpillingTraceSink:
@@ -266,11 +237,11 @@ class TestSpillingTraceSink:
         workload = get_workload(TEXTBOOK)
         module = workload.compile(1)
         full = TraceSink()
-        vm = VM(module, full, chunk_format="columnar", chunk_size=256)
+        vm = VM(module, full, chunk_size=256)
         vm.run(workload.entry)
 
         spilling = SpillingTraceSink(8, spill_dir=str(tmp_path))
-        vm2 = VM(module, spilling, chunk_format="columnar", chunk_size=256)
+        vm2 = VM(module, spilling, chunk_size=256)
         vm2.run(workload.entry)
 
         assert spilling.resident_chunks <= 8
@@ -278,58 +249,50 @@ class TestSpillingTraceSink:
         assert spilling.spilled_bytes > 0
         assert spilling.n_events == full.n_events
         assert spilling.nbytes < full.nbytes
-        # re-iterable: two full passes decode identically
-        first = list(spilling.events())
-        second = list(spilling.events())
-        assert first == second == list(full.events())
+        # re-iterable: two full passes read identically
+        first = rows_of(spilling)
+        second = rows_of(spilling)
+        assert np.array_equal(first, second)
+        assert np.array_equal(first, rows_of(full))
         spilling.close()
         assert not any(
             f.startswith("segment-") for f in os.listdir(tmp_path)
         )
 
-    def test_accepts_tuple_chunks(self):
-        _, trace, _ = run_source(
-            "int main() { int s = 0; "
-            "for (int i = 0; i < 50; i++) { s += i; } return s; }"
-        )
-        spilling = SpillingTraceSink(1)
-        for chunk in trace.chunks:
-            spilling(chunk)
-        assert list(spilling.events()) == list(trace.events())
-        spilling.close()
-
     def test_save_and_load_roundtrip(self, tmp_path):
         workload = get_workload(TEXTBOOK)
         module = workload.compile(1)
-        trace, _ = record(module, workload.entry, "columnar")
+        trace, _ = record(module, workload.entry)
         path = tmp_path / "trace.npz"
         save_trace(trace, str(path))
         restored = load_trace(str(path))
-        assert list(restored.events()) == list(trace.events())
+        assert np.array_equal(rows_of(restored), rows_of(trace))
+        assert restored.chunks[0].strings.values == (
+            trace.chunks[0].strings.values
+        )
 
     def test_raw_npy_spill_roundtrip(self, tmp_path):
         """compress=False spills raw mmap-loadable .npy segments."""
         workload = get_workload(TEXTBOOK)
         module = workload.compile(1)
-        full, _ = record(module, workload.entry, "columnar",
-                         chunk_size=256)
+        full, _ = record(module, workload.entry, chunk_size=256)
 
         spilling = SpillingTraceSink(
             4, spill_dir=str(tmp_path), compress=False
         )
-        vm = VM(module, spilling, chunk_format="columnar", chunk_size=256)
+        vm = VM(module, spilling, chunk_size=256)
         vm.run(workload.entry)
         assert spilling.n_spilled_chunks > 0
         paths = spilling.segment_paths
         assert paths and all(p.endswith(".npy") for p in paths)
         arr = np.load(paths[0], mmap_mode="r")
         assert arr.ndim == 2 and arr.shape[0] > 0
-        assert list(spilling.events()) == list(full.events())
+        assert np.array_equal(rows_of(spilling), rows_of(full))
         # save/load still round-trips through the canonical npz artifact
         path = tmp_path / "trace.npz"
         spilling.save(str(path))
         restored = load_trace(str(path))
-        assert list(restored.events()) == list(full.events())
+        assert np.array_equal(rows_of(restored), rows_of(full))
         spilling.close()
         assert not any(
             f.startswith("segment-") for f in os.listdir(tmp_path)
@@ -343,11 +306,11 @@ class TestSpillingTraceSink:
         module = workload.compile(1)
 
         resident = TraceSink()
-        vm = VM(module, resident, chunk_format="columnar", chunk_size=256)
+        vm = VM(module, resident, chunk_size=256)
         vm.run(workload.entry)
 
         spilling = SpillingTraceSink(4, spill_dir=str(tmp_path / "spill"))
-        vm2 = VM(module, spilling, chunk_format="columnar", chunk_size=256)
+        vm2 = VM(module, spilling, chunk_size=256)
         vm2.run(workload.entry)
         assert spilling.n_spilled_chunks > 1  # multi-segment on disk
 
@@ -390,26 +353,6 @@ class TestEngineIntegration:
             s.to_dict() for s in spilled.suggestions
         ]
 
-    def test_chunk_format_tuple_vs_columnar_results(self):
-        workload = get_workload(TEXTBOOK)
-        results = {}
-        for fmt in ("tuple", "columnar"):
-            engine = DiscoveryEngine(
-                config=DiscoveryConfig(
-                    source=workload.source(1), name=TEXTBOOK,
-                    chunk_format=fmt,
-                )
-            )
-            results[fmt] = engine.run()
-        assert (
-            results["tuple"].store.to_dict()
-            == results["columnar"].store.to_dict()
-        )
-        assert (
-            results["tuple"].registry.to_dict()
-            == results["columnar"].registry.to_dict()
-        )
-
     def test_engine_records_phase_timings(self):
         workload = get_workload(TEXTBOOK)
         engine = DiscoveryEngine(
@@ -436,7 +379,7 @@ class TestBackendRegistry:
     def run_backend(self, name, **options):
         workload, module = self.source_and_decoder()
         backend = make_backend(name, **options)
-        vm = VM(module, backend, chunk_format="columnar")
+        vm = VM(module, backend)
         backend.sig_decoder = vm.loop_signature
         vm.run(workload.entry)
         return backend.finish()
@@ -508,11 +451,11 @@ class TestCLIPipelineFlags:
             "profile", "vm_compiled", "build_cus", "detect", "rank"
         }
 
-    def test_discover_spill_and_tuple_format(self, capsys):
+    def test_discover_spill_flags(self, capsys):
         from repro.cli import main
 
         code = main([
-            "discover", "--workload", TEXTBOOK, "--chunk-format", "tuple",
+            "discover", "--workload", TEXTBOOK,
             "--spill-trace", "--max-resident-chunks", "8",
             "--format", "json",
         ])
@@ -520,16 +463,19 @@ class TestCLIPipelineFlags:
         import json
 
         data = json.loads(capsys.readouterr().out)
-        assert data["profile_stats"]["chunk_format"] == "tuple"
+        assert "chunk_format" not in data["profile_stats"]
         assert "spilled_chunks" in data["profile_stats"]
 
     def test_bench_smoke(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main
 
+        with pytest.raises(SystemExit):
+            main(["bench", "--quick"])  # a suite must be named
+        assert "--suite" in capsys.readouterr().err
         monkeypatch.chdir(tmp_path)
         code = main([
-            "bench", "fib", "--reps", "1", "--format", "json",
-            "--save", "bench.json",
+            "bench", "--suite", "vm", "fib", "--reps", "1",
+            "--format", "json", "--save", "bench.json",
         ])
         assert code == 0
         import json
@@ -537,5 +483,5 @@ class TestCLIPipelineFlags:
         with open(tmp_path / "bench.json") as handle:
             saved = json.load(handle)
         assert saved["workloads"][0]["workload"] == "fib"
+        assert saved["all_traces_identical"]
         assert saved["all_stores_identical"]
-        assert saved["workloads"][0]["throughput_ratio"] > 0

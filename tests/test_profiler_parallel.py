@@ -19,6 +19,7 @@ from repro.profiler.races import DeferredSink
 from repro.profiler.serial import SerialProfiler
 from repro.profiler.shadow import PerfectShadow, SignatureShadow
 from repro.profiler.skipping import SkippingProfiler
+from repro.runtime.events import COL_KIND, COL_TID, COL_TS, K_WRITE
 from repro.runtime.interpreter import VM
 from repro.workloads import get_workload
 from tests.conftest import profile_program
@@ -440,15 +441,16 @@ class TestRaceModel:
     def test_deferred_sink_preserves_per_thread_order(self):
         module = compile_source(self.UNPROTECTED)
         seen = []
-        deferred = DeferredSink(lambda chunk: seen.extend(chunk), window=5,
-                                seed=3)
+        deferred = DeferredSink(
+            lambda chunk: seen.extend(chunk.rows.tolist()), window=5, seed=3
+        )
         vm = VM(module, deferred, quantum=7)
         vm.run()
         deferred.finish()
         per_thread_ts = {}
-        for ev in seen:
-            if ev[0] in ("R", "W"):
-                tid, ts = ev[5], ev[6]
+        for row in seen:
+            if row[COL_KIND] <= K_WRITE:
+                tid, ts = row[COL_TID], row[COL_TS]
                 assert per_thread_ts.get(tid, -1) < ts
                 per_thread_ts[tid] = ts
 

@@ -16,7 +16,8 @@ from repro.profiler.shadow import (
     PerfectShadow,
     SignatureShadow,
 )
-from repro.runtime.events import EV_FREE, EV_READ, EV_WRITE
+from repro.runtime.events import COL_ADDR, K_FREE, K_READ, K_WRITE
+from tests.conftest import make_chunk
 
 # an access: (addr in small range, is_write, line in small range)
 ACCESS = st.tuples(
@@ -26,14 +27,18 @@ ACCESS = st.tuples(
 )
 
 
-def _events(accesses):
-    """Synthesise a memory-event stream (single thread, no loops)."""
+def _rows(accesses):
+    """Synthesise memory-event rows (single thread, no loops)."""
     out = []
     for ts, (addr, is_write, line) in enumerate(accesses, start=1):
-        kind = EV_WRITE if is_write else EV_READ
+        kind = K_WRITE if is_write else K_READ
         out.append((kind, addr, line, f"v{addr}", addr * 100 + line, 0, ts,
                     0, addr))
     return out
+
+
+def _events(accesses):
+    return make_chunk(_rows(accesses))
 
 
 def _oracle(accesses):
@@ -103,13 +108,13 @@ class TestDependenceSemantics:
     def test_eviction_only_removes_state(self, accesses, evict_at):
         """Eviction may drop dependences (lifetime ends) but never invents
         new sinks/sources that were not accessed."""
-        events = _events(accesses)
-        events.insert(
-            min(evict_at, len(events)),
-            (EV_FREE, 0, 16, 0, 10**6),
+        rows = _rows(accesses)
+        rows.insert(
+            min(evict_at, len(rows)),
+            (K_FREE, 0, 0, 0, 16, 0, 10**6, 0, 0),
         )
         prof = SerialProfiler(PerfectShadow())
-        prof.process_chunk(events)
+        prof.process_chunk(make_chunk(rows))
         touched_lines = {a[2] for a in accesses}
         for dep in prof.store:
             assert dep.sink_line in touched_lines
@@ -135,7 +140,7 @@ class TestDependenceSemantics:
         one.process_chunk(events)
         many = SerialProfiler(PerfectShadow())
         for i in range(0, len(events), chunk_size):
-            many.process_chunk(events[i : i + chunk_size])
+            many.process_chunk(events.take(slice(i, i + chunk_size)))
         assert many.store.keys() == one.store.keys()
 
     @given(st.lists(ACCESS, max_size=100))
@@ -147,8 +152,8 @@ class TestDependenceSemantics:
         whole = SerialProfiler(PerfectShadow())
         whole.process_chunk(events)
         shards = [SerialProfiler(PerfectShadow()) for _ in range(3)]
-        for ev in events:
-            shards[ev[1] % 3].process_chunk([ev])
+        for i, addr in enumerate(events.rows[:, COL_ADDR].tolist()):
+            shards[addr % 3].process_chunk(events.take([i]))
         merged = DependenceStore()
         for shard in shards:
             merged.merge_from(shard.store)

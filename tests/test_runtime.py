@@ -2,24 +2,53 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.mir.lowering import compile_source
 from repro.runtime.events import (
-    EV_ALLOC,
-    EV_BGN,
-    EV_END,
-    EV_FENTRY,
-    EV_FEXIT,
-    EV_FREE,
-    EV_ITER,
-    EV_READ,
-    EV_WRITE,
+    COL_ADDR,
+    COL_AUX,
+    COL_KIND,
+    COL_NAME,
+    COL_SIG,
+    COL_TID,
+    COL_TS,
+    COL_VAR,
+    K_ALLOC,
+    K_BGN,
+    K_END,
+    K_FENTRY,
+    K_FEXIT,
+    K_FREE,
+    K_ITER,
+    K_READ,
+    K_WRITE,
     TraceSink,
 )
 from repro.runtime.interpreter import VM, VMError, run_source
 from tests.conftest import run_program
+
+
+def _rows(trace) -> np.ndarray:
+    """The whole recorded trace as one row array."""
+    return np.concatenate([chunk.rows for chunk in trace.iter_chunks()])
+
+
+def _named(trace, kind: int, name: str) -> list:
+    """Rows of one kind whose name column decodes to ``name``."""
+    names = trace.chunks[0].strings.values
+    rows = _rows(trace)
+    return [
+        row for row in rows[rows[:, COL_KIND] == kind].tolist()
+        if names[row[COL_NAME]] == name
+    ]
+
+
+def _memory(trace) -> np.ndarray:
+    rows = _rows(trace)
+    return rows[rows[:, COL_KIND] <= K_WRITE]
 
 
 class TestSemantics:
@@ -212,33 +241,27 @@ int main() {{
 class TestEvents:
     def test_event_stream_structure(self, fig27_source):
         _, trace, _ = run_source(fig27_source)
-        kinds = {e[0] for e in trace.events()}
-        assert {EV_READ, EV_WRITE, EV_BGN, EV_END, EV_ITER, EV_FENTRY,
-                EV_FEXIT}.issubset(kinds)
+        kinds = set(_rows(trace)[:, COL_KIND].tolist())
+        assert {K_READ, K_WRITE, K_BGN, K_END, K_ITER, K_FENTRY,
+                K_FEXIT}.issubset(kinds)
 
     def test_timestamps_monotonic(self, fig27_source):
         _, trace, _ = run_source(fig27_source)
-        last = -1
-        for ev in trace.events():
-            ts = ev[-1] if ev[0] in (EV_BGN, EV_FEXIT) else None
-            # memory events carry ts at index 6
-            if ev[0] in (EV_READ, EV_WRITE):
-                assert ev[6] > last
-                last = ev[6]
+        assert (np.diff(_memory(trace)[:, COL_TS]) > 0).all()
 
     def test_loop_iteration_count(self, fig27_source):
         _, trace, _ = run_source(fig27_source)
-        ends = [e for e in trace.events() if e[0] == EV_END and e[2] == "loop"]
+        ends = _named(trace, K_END, "loop")
         assert len(ends) == 1
-        assert ends[0][6] == 10  # iterations executed
+        assert ends[0][COL_AUX] == 10  # iterations executed
 
     def test_region_markers_balanced(self, fig27_source):
         _, trace, _ = run_source(fig27_source)
         depth = 0
-        for ev in trace.events():
-            if ev[0] == EV_BGN:
+        for kind in _rows(trace)[:, COL_KIND].tolist():
+            if kind == K_BGN:
                 depth += 1
-            elif ev[0] == EV_END:
+            elif kind == K_END:
                 depth -= 1
                 assert depth >= 0
         assert depth == 0
@@ -249,11 +272,11 @@ class TestEvents:
         int main() { int a = f(1); int b = f(2); return a + b; }
         """
         _, trace, _ = run_source(src)
-        allocs = [e for e in trace.events() if e[0] == EV_ALLOC]
-        frees = [e for e in trace.events() if e[0] == EV_FREE]
-        assert len(allocs) == len(frees) == 3  # main + two f calls
+        kinds = _rows(trace)[:, COL_KIND]
+        allocs = _rows(trace)[kinds == K_ALLOC]
+        assert len(allocs) == (kinds == K_FREE).sum() == 3  # main + two f
         # f's two frames reuse the same stack base
-        assert allocs[1][1] == allocs[2][1]
+        assert allocs[1, COL_ADDR] == allocs[2, COL_ADDR]
 
     def test_fentry_carries_call_site(self):
         src = """
@@ -267,24 +290,23 @@ class TestEvents:
         call_line = next(
             i + 1 for i, l in enumerate(src.splitlines()) if "f(1)" in l
         )
-        entries = [e for e in trace.events() if e[0] == EV_FENTRY]
-        f_entry = [e for e in entries if e[1] == "f"][0]
-        assert f_entry[5] == call_line
+        f_entry = _named(trace, K_FENTRY, "f")[0]
+        assert f_entry[COL_AUX] == call_line
 
     def test_loop_context_changes_per_iteration(self, fig27_source):
         _, trace, vm = run_source(fig27_source)
         sigs = {
-            e[7]
-            for e in trace.memory_events()
-            if vm.loop_signature(e[7])  # inside the loop
+            sig
+            for sig in _memory(trace)[:, COL_SIG].tolist()
+            if vm.loop_signature(sig)  # inside the loop
         }
         # one context per iteration plus the final header check that exits
         assert len(sigs) == 11
 
     def test_var_ids_on_memory_events(self, fig27_source):
         _, trace, _ = run_source(fig27_source)
-        for ev in trace.memory_events():
-            assert isinstance(ev[8], int)
+        # -1 marks an unnamed temporary; every access here names a variable
+        assert (_memory(trace)[:, COL_VAR] >= 0).all()
 
 
 class TestThreads:
@@ -316,7 +338,7 @@ class TestThreads:
 
     def test_interleaving_actually_happens(self):
         _, trace, vm = run_source(self.SRC, quantum=8)
-        tids = [e[5] for e in trace.memory_events()]
+        tids = _memory(trace)[:, COL_TID].tolist()
         # find a point where consecutive events come from different threads
         switches = sum(1 for a, b in zip(tids, tids[1:]) if a != b)
         assert switches > 4
@@ -325,12 +347,12 @@ class TestThreads:
         r1, t1, _ = run_source(self.SRC, quantum=8, schedule="random", seed=3)
         r2, t2, _ = run_source(self.SRC, quantum=8, schedule="random", seed=3)
         assert r1 == r2
-        assert list(t1.events()) == list(t2.events())
+        assert np.array_equal(_rows(t1), _rows(t2))
 
     def test_different_seeds_differ(self):
         _, t1, _ = run_source(self.SRC, quantum=8, schedule="random", seed=1)
         _, t2, _ = run_source(self.SRC, quantum=8, schedule="random", seed=9)
-        assert list(t1.events()) != list(t2.events())
+        assert not np.array_equal(_rows(t1), _rows(t2))
 
     def test_lock_mutual_exclusion(self):
         # with locks removed the counter would race; the VM serialises the

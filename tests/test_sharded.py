@@ -262,7 +262,7 @@ class TestSpilledSegments:
         sink = SpillingTraceSink(
             4, spill_dir=str(tmp_path), compress=compress
         )
-        vm = VM(module, sink, chunk_format="columnar", chunk_size=256)
+        vm = VM(module, sink, chunk_size=256)
         vm.run(workload.entry)
         assert sink.n_spilled_chunks > 0
         return sink, vm
@@ -272,8 +272,7 @@ class TestSpilledSegments:
         workload = get_workload("histogram")
         module = workload.compile(1)
         resident = TraceSink()
-        vm_ref = VM(module, resident, chunk_format="columnar",
-                    chunk_size=256)
+        vm_ref = VM(module, resident, chunk_size=256)
         vm_ref.run(workload.entry)
         ref = vec_profile(resident, vm_ref)
 
