@@ -31,6 +31,7 @@ from repro.runtime.events import (
     EventChunk,
     K_FENTRY,
     K_FEXIT,
+    K_FREE,
     K_WRITE,
 )
 
@@ -43,11 +44,13 @@ def anchor_events(
 ) -> Iterator[EventChunk]:
     """Yield each trace chunk rewritten to container anchors.
 
-    FENTRY/FEXIT rows are consumed, memory rows executing outside any
-    dynamic instance of the container are dropped, and the line column
-    of callee rows becomes their call-site line.  Every other row passes
-    through unchanged (so loop-context classification still works for
-    the container's own loops).
+    Only the rows the anchored profile reads survive: memory rows
+    executing inside a dynamic instance of the container, with the line
+    column of callee rows rewritten to their call-site line, and FREE
+    rows, which end variable lifetimes.  Call rows are consumed here, and
+    every other row is dropped: loop contexts ride in each memory row's
+    signature column, and region markers would only feed control
+    records, which the task analysis never reads.
 
     Anchoring is relative to the *outermost* frame of the container's
     function: the whole dynamic subtree under a call at line L collapses
@@ -135,7 +138,7 @@ def anchor_events(
             mem,
             (mode == _CALL)
             | ((mode == _DIRECT) & (lines >= start) & (lines <= end)),
-            ~is_call,
+            kinds == K_FREE,
         )
         out = rows[keep]
         moved = (mode[keep] == _CALL) & mem[keep]

@@ -33,7 +33,12 @@ import networkx as nx
 from repro.cu.graph import CUGraph, build_cu_graph
 from repro.cu.model import CURegistry
 from repro.mir.module import Module, Region
-from repro.profiler.deps import Dependence, DependenceStore, DepType
+from repro.profiler.deps import (
+    Dependence,
+    DependenceStore,
+    DepType,
+    identity_order,
+)
 
 
 class LoopClass:
@@ -54,7 +59,8 @@ class LoopInfo:
     classification: str
     iterations: int = 0
     instructions: int = 0
-    #: carried RAW dependences that block DOALL (after filtering)
+    #: carried RAW dependences that block DOALL (after filtering),
+    #: heaviest first (ties broken by merge identity)
     blocking: list[Dependence] = field(default_factory=list)
     #: variables resolvable by reduction parallelization
     reduction_vars: set = field(default_factory=set)
@@ -200,6 +206,9 @@ def analyze_loop(
                 raw_blockers.append(dep)
         else:  # WAR / WAW: name dependences, resolved by privatization
             private_vars.add(dep.var)
+    # store insertion order depends on the detection core and its batch
+    # size; a total order keeps reports stable and shows the heaviest first
+    raw_blockers.sort(key=lambda d: (-d.count, identity_order(d)))
     # a variable cannot be both: RAW blockers trump privatization
     blocker_vars = {d.var for d in raw_blockers}
     private_vars -= blocker_vars

@@ -373,6 +373,12 @@ class ParallelVM(VM):
 
     def run(self, entry: str = "main", args: Optional[list] = None):
         """Run to completion under the worker pool; returns main's value."""
+        try:
+            return self._run_pool(entry, args)
+        finally:
+            self._release_compiled()
+
+    def _run_pool(self, entry: str, args: Optional[list]):
         tracer = self.tracer
         traced = tracer is not None and tracer.enabled
         if traced:

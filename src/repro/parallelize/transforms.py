@@ -29,8 +29,9 @@ task graph's spawn/join edges, which come from the profiled dependence
 store.
 
 Both passes are conservative: any shape they cannot prove safe (non-unit
-loop structure, returns inside the region, register values flowing across
-task boundaries, un-privatizable shared state) yields an *infeasible* plan
+loop structure, returns inside the region, a loop split across task
+nodes, register values flowing across task boundaries, un-privatizable
+shared state) yields an *infeasible* plan
 entry with the reason recorded, never a silently wrong transform.  The
 validation harness (:mod:`repro.parallelize.validate`) is the final net:
 every applied transform is checked bit-for-bit against the sequential run.
@@ -864,6 +865,32 @@ def _build_task_function(
     return task_func, escapes
 
 
+def _check_whole_loops(module: Module, code: list, members: dict) -> None:
+    """Every loop a task touches must lie wholly inside that task.
+
+    Source-line attribution knows nothing of loop structure: a loop's
+    ``enter``/``iter`` markers can land in one node and its ``exit`` (on
+    the loop's last line, shared with a nested statement) in another.
+    The outlined tasks would then run an ``iter`` on an empty loop stack.
+    """
+    node_of = {idx: nid for nid, idxs in members.items() for idx in idxs}
+    markers: dict[int, list[int]] = {}
+    for idx, instr in enumerate(code):
+        if instr.op in (Opcode.ENTER, Opcode.ITER, Opcode.EXIT):
+            region = module.regions.get(instr.a)
+            if region is not None and region.kind == "loop":
+                markers.setdefault(instr.a, []).append(idx)
+    for rid, idxs in markers.items():
+        # one owner (None: no task touches the loop) keeps it whole
+        if len({node_of.get(idx) for idx in idxs}) > 1:
+            nid = next(node_of[idx] for idx in idxs if idx in node_of)
+            region = module.regions[rid]
+            raise Infeasible(
+                f"task node {nid} splits loop region {rid} "
+                f"(lines {region.start_line}-{region.end_line})"
+            )
+
+
 def plan_taskgraph(
     module: Module,
     suggestion: Suggestion,
@@ -988,6 +1015,7 @@ def plan_taskgraph(
                         "external control enters the middle of the "
                         "task region"
                     )
+        _check_whole_loops(module, code, members)
 
         parent_code = list(code)
         parent_code[first_idx] = Instr(

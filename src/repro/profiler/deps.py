@@ -102,6 +102,25 @@ class Dependence:
         )
 
 
+def identity_order(dep: Dependence) -> tuple:
+    """Sort key over the full merge identity.
+
+    Orderings must not depend on dict insertion order (the loop and
+    vectorized detectors, and different batch sizes, discover merged
+    dependences in different orders) or on None-vs-str vars.
+    """
+    return (
+        dep.sink_line,
+        dep.type,
+        dep.source_line,
+        dep.var is not None,
+        dep.var or "",
+        dep.loop_carried,
+        dep.sink_tid,
+        dep.source_tid,
+    )
+
+
 class DependenceStore:
     """Merged dependence set with per-sink aggregation (§2.3.5).
 
@@ -198,22 +217,7 @@ class DependenceStore:
         return iter(self._deps.values())
 
     def all(self) -> list[Dependence]:
-        # the full identity tuple: ordering must not depend on dict
-        # insertion order (the loop and vectorized detectors discover
-        # merged dependences in different orders) or on None-vs-str vars
-        return sorted(
-            self._deps.values(),
-            key=lambda d: (
-                d.sink_line,
-                d.type,
-                d.source_line,
-                d.var is not None,
-                d.var or "",
-                d.loop_carried,
-                d.sink_tid,
-                d.source_tid,
-            ),
-        )
+        return sorted(self._deps.values(), key=identity_order)
 
     def by_sink(self) -> dict[int, list[Dependence]]:
         out: dict[int, list[Dependence]] = {}

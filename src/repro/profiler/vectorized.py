@@ -88,8 +88,10 @@ SIG_DEPTH_CAP = 8
 _SIG_ITER_BITS = 40
 
 #: events buffered before one segmented-scan pass (detection semantics
-#: are chunk-boundary free, so batches amortize the fixed numpy costs)
-DEFAULT_BATCH_EVENTS = 1 << 16
+#: are chunk-boundary free, so batches amortize the fixed numpy costs).
+#: A pass's scan temporaries grow with the batch; 16k rows hold them at
+#: a few MB and ran faster than 8k, 32k or 64k (docs/DETECT.md)
+DEFAULT_BATCH_EVENTS = 1 << 14
 
 #: occurrence type codes, index-aligned with DepType strings
 _TYPE_NAMES = (DepType.RAW, DepType.WAR, DepType.WAW)

@@ -360,10 +360,10 @@ class _RunCompiler:
         self.params: dict[str, tuple] = {
             "vm": ("vm", None),
             "memory": ("memory", None),
-            "intern": ("intern", None),
             "close_region": ("close_region", None),
         }
         if traced:
+            self.params["intern"] = ("intern", None)
             self.params["buf"] = ("buf", None)
             self.params["extend"] = ("extend", None)
             self.params["flush"] = ("flush", None)
@@ -579,7 +579,8 @@ class _RunCompiler:
         )
         if kind == "loop":
             lines.append(f"    th.loop_stack.append([{rid}, 0])")
-            lines.append("    intern(th)")
+            if self.traced:
+                lines.append("    intern(th)")
             if has_mem_event:
                 lines.append("    sig = th.sig_id")
         if self.traced:
@@ -593,9 +594,9 @@ class _RunCompiler:
     def _iter_source(
         self, lines: list, instr, j: int, has_mem_event: bool
     ) -> None:
-        lines.append("    _l = th.loop_stack[-1]")
-        lines.append("    _l[1] += 1")
-        lines.append("    intern(th)")
+        lines.append("    th.loop_stack[-1][1] += 1")
+        if self.traced:
+            lines.append("    intern(th)")
         if has_mem_event:
             lines.append("    sig = th.sig_id")
         if self.traced:
@@ -1062,7 +1063,6 @@ def _make_enter(vm, pc, instr, traced):
             frame.region_stack.append([rid, kind, start])
             if is_loop:
                 th.loop_stack.append([rid, 0])
-                vm._intern_sig(th)
             return nxt
 
         return op
@@ -1111,9 +1111,7 @@ def _make_iter(vm, pc, instr, traced):
 
         def op(th, frame):
             vm.ts += 1
-            top = th.loop_stack[-1]
-            top[1] += 1
-            vm._intern_sig(th)
+            th.loop_stack[-1][1] += 1
             return nxt
 
         return op

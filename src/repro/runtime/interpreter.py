@@ -430,7 +430,8 @@ class VM:
             if thread.loop_stack and thread.loop_stack[-1][0] == region_id:
                 iters = thread.loop_stack[-1][1]
                 thread.loop_stack.pop()
-                self._intern_sig(thread)
+                if self.instrument:
+                    self._intern_sig(thread)
         if self.instrument:
             self._emit(
                 (K_END, region_id, self._region_end[region_id],
@@ -444,8 +445,13 @@ class VM:
 
     def run(self, entry: str = "main", args: Optional[list] = None):
         """Run the program to completion; returns ``entry``'s return value."""
+        try:
+            return self._run(entry, args)
+        finally:
+            self._release_compiled()
+
+    def _run(self, entry: str, args: Optional[list]):
         main_thread = self._spawn_thread(entry, args or [])
-        runnable = deque([main_thread.tid])
         while True:
             alive = [t for t in self.threads if t.status != DONE]
             if not alive:
@@ -474,6 +480,22 @@ class VM:
                 raise VMError("scheduler made no progress")
         self._flush()
         return main_thread.return_value
+
+    def _release_compiled(self) -> None:
+        """Drop the compiled closure tables at the end of a run.
+
+        Compiled closures capture their VM, and the lazy untraced tables
+        hold self-replacing trampolines that reference their own
+        ``fns``/``alts`` lists, so a finished VM would otherwise wait in
+        reference cycles — memory image included — for the next full
+        collection.  Emptying the tables breaks both cycles and reference
+        counting frees the VM as soon as its last user lets go.  A later
+        :meth:`run` rebuilds the tables lazily.
+        """
+        for compiled in self._compiled_cache.values():
+            compiled.fns.clear()
+            compiled.alts.clear()
+        self._compiled_cache.clear()
 
     def _run_thread(self, thread: ThreadState, quantum: int) -> None:
         """Run one thread for up to ``quantum`` steps on the active core."""
@@ -629,7 +651,8 @@ class VM:
                     )
                     if kind == "loop":
                         thread.loop_stack.append([region_id, 0])
-                        self._intern_sig(thread)
+                        if instrument:
+                            self._intern_sig(thread)
                     if instrument:
                         self._emit(
                             (K_BGN, region_id, self._region_start[region_id],
@@ -639,8 +662,8 @@ class VM:
                 elif op == "iter":
                     top = thread.loop_stack[-1]
                     top[1] += 1
-                    self._intern_sig(thread)
                     if instrument:
+                        self._intern_sig(thread)
                         self._emit_simple(K_ITER, instr.a, tid)
                 elif op == "exit":
                     region_id = instr.a

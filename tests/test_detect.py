@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro.discovery.loops import analyze_loops
 from repro.engine import DiscoveryConfig, DiscoveryEngine
 from repro.profiler.backends import make_backend
 from repro.profiler.serial import SerialProfiler
@@ -66,6 +67,16 @@ def vec_profile(trace, vm, *, slots=None, batch_events=None):
     return profiler
 
 
+def loops_of(vm, profiler):
+    """Loop verdicts with their blocker lists, in report order."""
+    return [
+        info.to_dict()
+        for info in analyze_loops(
+            vm.module, profiler.store, control=profiler.control
+        )
+    ]
+
+
 def state_of(profiler):
     return (
         profiler.store.to_dict(),
@@ -88,6 +99,11 @@ class TestThreeWayMatrix:
         per_chunk = vec_profile(trace, vm, batch_events=0)
         assert state_of(loop) == state_of(vectorized), name
         assert state_of(vectorized) == state_of(per_chunk), name
+        # equal stores must give equal reports, whatever order each core
+        # inserted its dependences in
+        reference = loops_of(vm, loop)
+        assert loops_of(vm, vectorized) == reference, name
+        assert loops_of(vm, per_chunk) == reference, name
 
     def test_threaded_present(self):
         # the matrix above must include every threaded workload

@@ -9,7 +9,10 @@ regressions (exec_model edge cases, DOACROSS pragma, transform-field
 round-trips).
 """
 
+import gc
 import json
+import re
+import weakref
 
 import pytest
 
@@ -32,7 +35,11 @@ from repro.parallelize import (
     validate_plan,
 )
 from repro.parallelize.plan import ChunkSpec, TaskSpec
-from repro.parallelize.validate import ValidationReport
+from repro.parallelize.validate import (
+    ValidationReport,
+    run_sequential_reference,
+)
+from repro.runtime.interpreter import VM
 from repro.simulate.exec_model import simulate_doall, simulate_pipeline
 from repro.workloads import get_workload
 
@@ -230,6 +237,59 @@ class TestTaskGraphTransform:
         ok = [r for r in reports if r.feasible and r.kind == "MPMD"]
         assert ok and all(r.identical for r in ok)
         assert any(r.measured_speedup > 1.0 for r in ok)
+
+    def test_task_node_splitting_a_loop_is_infeasible(self):
+        # cg_py's main:8 graph puts a loop's enter/iter markers in one
+        # node and its exit (on the last line, shared with a nested
+        # loop) in another; outlined, an iter would find no open loop
+        w = get_workload("cg_py")
+        engine = DiscoveryEngine(config=DiscoveryConfig(
+            source=w.source(1), name="cg_py", entry=w.entry,
+            frontend=w.frontend,
+        ))
+        plan = engine.parallelize()
+        entry = next(
+            e for e in plan.entries
+            if isinstance(e, TaskPlan) and e.start_line == 8
+        )
+        assert not entry.feasible
+        assert re.fullmatch(
+            r"task node \d+ splits loop region \d+ \(lines \d+-\d+\)",
+            entry.reason,
+        ), entry.reason
+        assert plan.entries.index(entry) not in plan.modules
+
+
+class TestVMLifetime:
+    """A finished VM is freed by reference counting alone: its compiled
+    closure tables (which capture it) are released when its run ends."""
+
+    def test_no_vm_outlives_its_validation_run(self, monkeypatch):
+        engine, result, plan = _plan_for(DOALL_SRC)
+        assert plan.feasible_entries
+        refs = []
+        init = VM.__init__
+
+        def tracking_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(VM, "__init__", tracking_init)
+        gc.collect()
+        gc.disable()
+        try:
+            seq = run_sequential_reference(engine.module)
+            assert len(refs) == 1 and refs[0]() is None
+            reports = validate_plan(
+                engine.module, plan, suggestions=result.suggestions,
+                seq=seq,
+            )
+            assert all(r.identical for r in reports if r.feasible)
+            parallel = refs[1:]
+            assert len(parallel) == len(plan.feasible_entries)
+            assert all(ref() is None for ref in parallel)
+        finally:
+            gc.enable()
 
 
 class TestScheduler:

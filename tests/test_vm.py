@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.engine import DiscoveryConfig, DiscoveryEngine, DiscoveryResult
+from repro.mir.instructions import Instr, Opcode
 from repro.mir.lowering import compile_source
 from repro.parallelize import validate_plan
 from repro.profiler.serial import SerialProfiler
@@ -211,6 +212,43 @@ class TestCompilePass:
         r_c, t_c, vm_c = _run(module_b, w.entry, "compiled", quantum=1)
         assert r_s == r_c
         assert vm_s.total_steps == vm_c.total_steps
+
+
+class TestUntracedState:
+    """Untraced runs keep only the loop state execution itself needs."""
+
+    NEST = """int a[64];
+int main() {
+  for (int i = 0; i < 8; i++) {
+    for (int j = 0; j < 8; j++) {
+      a[i * 8 + j] = i + j;
+    }
+  }
+  return a[63];
+}
+"""
+
+    @pytest.mark.parametrize("dispatch", ["compiled", "switch"])
+    def test_untraced_run_mints_no_loop_signatures(self, dispatch):
+        module = compile_source(self.NEST)
+        r_u, _, untraced = _run(module, "main", dispatch, instrument=False)
+        r_t, _, traced = _run(module, "main", dispatch)
+        assert r_u == r_t == 14
+        # only the root (empty) signature: loop contexts exist for the
+        # trace alone
+        assert untraced._sig_list == [()]
+        assert len(traced._sig_list) > 8 * 8
+
+    @pytest.mark.parametrize("dispatch", ["compiled", "switch"])
+    def test_untraced_iter_without_enter_still_fails(self, dispatch):
+        # the loop stack stays: an iter marker with no open loop (what
+        # a malformed transform produces) fails at once, not much later
+        module = compile_source(self.NEST)
+        code = module.functions["main"].code
+        idx = next(i for i, instr in enumerate(code) if instr.op == "enter")
+        code[idx] = Instr(Opcode.JMP, a=idx + 1)
+        with pytest.raises(IndexError):
+            _run(module, "main", dispatch, instrument=False)
 
 
 class TestChunkBuilderShortChunk:
