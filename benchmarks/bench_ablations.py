@@ -59,7 +59,6 @@ int main() {
             redistribute_every=2 if redistribute else 10**9,
         )
         vm = VM(module, par, chunk_size=256)
-        par.sig_decoder = vm.loop_signature
         vm.run()
         par.finish()
         return par.report

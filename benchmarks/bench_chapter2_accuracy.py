@@ -38,7 +38,6 @@ def test_table_2_2_fig27_dependences(one_round):
         module = compile_source(FIG27)
         prof = SerialProfiler(PerfectShadow())
         vm = VM(module, prof)
-        prof.sig_decoder = vm.loop_signature
         vm.run()
         return prof
 
@@ -77,7 +76,6 @@ int main() {
         module = compile_source(src)
         skipper = SkippingProfiler(SerialProfiler(PerfectShadow()))
         vm = VM(module, skipper)
-        skipper.sig_decoder = vm.loop_signature
         vm.run()
         return skipper
 

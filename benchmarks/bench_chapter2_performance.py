@@ -48,7 +48,6 @@ def _parallel_run(name, n_workers, queue_kind):
         signature_slots=SIG_SLOTS // n_workers,
     )
     vm = VM(module, par, quantum=16)
-    par.sig_decoder = vm.loop_signature
     t0 = time.perf_counter()
     vm.run(w.entry)
     par.finish()

@@ -6,13 +6,13 @@ from __future__ import annotations
 from benchmarks.conftest import discovery_of, emit, fmt_table, one_round
 from repro.cu import build_cu_graph, build_cus_bottom_up
 from repro.cu.graph import container_cus
-from repro.discovery import discover_source
+from repro.engine import DiscoveryEngine
 from repro.workloads import get_workload
 
 
 def test_fig_3_6_rot_cc_cu_graph(one_round):
-    res = one_round(lambda: discover_source(
-        get_workload("rot-cc").source(1), keep_trace=True))
+    res = one_round(lambda: DiscoveryEngine.from_source(
+        get_workload("rot-cc").source(1), keep_trace=True).run())
     main = res.functions["main"]
     text = main.cu_graph.format_text()
     emit("fig_3_6_rot_cc", text)
@@ -38,10 +38,13 @@ def test_granularity_top_down_vs_bottom_up(one_round):
     rows = []
     for name in ("rot-cc", "CG", "rgbyuv", "matmul"):
         w = get_workload(name)
-        res = one_round(lambda w=w: discover_source(w.source(1),
-                                                    keep_trace=True)) \
-            if name == "rot-cc" else discover_source(w.source(1),
-                                                     keep_trace=True)
+
+        def run(w=w):
+            return DiscoveryEngine.from_source(
+                w.source(1), keep_trace=True
+            ).run()
+
+        res = one_round(run) if name == "rot-cc" else run()
         module = res.module
         td_counts = []
         bu_counts = []

@@ -94,7 +94,6 @@ def test_fig_5_1_communication_patterns(one_round):
         module = w.compile(1)
         prof = SerialProfiler(PerfectShadow())
         vm = VM(module, prof, quantum=16)
-        prof.sig_decoder = vm.loop_signature
         vm.run()
         return prof
 

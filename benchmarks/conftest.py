@@ -76,7 +76,6 @@ def profile_workload(name: str, scale: int = 1, *, shadow=None, sink=None,
         shadow if shadow is not None else PerfectShadow()
     )
     vm = VM(module, profiler, quantum=quantum)
-    profiler.sig_decoder = vm.loop_signature
     t0 = time.perf_counter()
     vm.run(w.entry)
     return profiler, time.perf_counter() - t0

@@ -8,8 +8,8 @@ the suggestion.
 Run:  python examples/parallelize_compression.py
 """
 
-from repro.discovery import discover_source
 from repro.discovery.ranking import loop_local_speedup
+from repro.engine import DiscoveryEngine
 from repro.simulate import simulate_doall, whole_program_speedup
 from repro.workloads import get_workload
 
@@ -18,7 +18,7 @@ def main() -> None:
     for name in ("gzip-like", "bzip2-like"):
         workload = get_workload(name)
         print(f"=== {name} ===")
-        result = discover_source(workload.source(1))
+        result = DiscoveryEngine.from_source(workload.source(1)).run()
 
         print(result.format_report())
 

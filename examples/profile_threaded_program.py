@@ -25,7 +25,6 @@ def main() -> None:
     # model the access-vs-push scheduling window of real pthread targets
     deferred = DeferredSink(profiler.process_chunk, window=6, seed=11)
     vm = VM(module, deferred, quantum=8, schedule="random", seed=3)
-    profiler.sig_decoder = vm.loop_signature
     result = vm.run()
     deferred.finish()
 

@@ -6,7 +6,6 @@ Run:  python examples/quickstart.py
 import json
 
 import repro
-from repro.discovery import discover_source
 from repro.engine import DiscoveryEngine, DiscoveryResult
 from repro.profiler.reportfmt import format_report
 
@@ -47,7 +46,7 @@ def saxpy(x: list, y: list, a: float, n: int) -> float:
 
 def main() -> None:
     print("== running the full DiscoPoP-style pipeline ==")
-    result = discover_source(SOURCE)
+    result = DiscoveryEngine.from_source(SOURCE).run()
 
     print(f"\nprogram exit value: {result.return_value}")
     print(f"memory accesses profiled: {sum(result.line_counts.values())}")

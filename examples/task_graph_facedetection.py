@@ -8,15 +8,15 @@ increasing thread counts, reproducing the Fig. 4.11 speedup curve's shape.
 Run:  python examples/task_graph_facedetection.py
 """
 
-from repro.discovery import discover_source
 from repro.discovery.tasks import TaskGraph, TaskNode
+from repro.engine import DiscoveryEngine
 from repro.simulate import simulate_task_graph
 from repro.workloads import get_workload
 
 
 def main() -> None:
     workload = get_workload("facedetection")
-    result = discover_source(workload.source(1))
+    result = DiscoveryEngine.from_source(workload.source(1)).run()
 
     # the frame loop is the task container (Fig. 4.10)
     analysis = max(

@@ -56,10 +56,7 @@ Live Python functions analyze directly — no MiniC port needed
                            args=([1.0] * 64, [2.0] * 64, 3.0, 64))
     print(result.format_report())   # lines point at this file
 
-One-shot wrappers (the pre-engine API, still fully supported)::
-
-    from repro import discover_source
-    result = discover_source(open("prog.mc").read())
+The profiler alone, without the later phases::
 
     from repro import profile_source
     profiler, vm, exit_value = profile_source(source,
@@ -82,7 +79,6 @@ from repro.profiler.parallel import ParallelProfiler
 from repro.profiler.skipping import SkippingProfiler
 from repro.profiler.reportfmt import format_report
 from repro.cu import build_cu_graph, build_cus
-from repro.discovery import discover, discover_source
 from repro.engine import (
     DiscoveryConfig,
     DiscoveryEngine,
@@ -112,8 +108,6 @@ __all__ = [
     "format_report",
     "build_cus",
     "build_cu_graph",
-    "discover",
-    "discover_source",
     "DiscoveryConfig",
     "DiscoveryEngine",
     "DiscoveryResult",

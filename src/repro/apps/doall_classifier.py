@@ -18,7 +18,7 @@ import numpy as np
 from repro.apps.features import LOOP_FEATURES, loop_feature_vector
 from repro.apps.ml import AdaBoost, classification_scores, train_test_split
 from repro.discovery.loops import LoopInfo
-from repro.discovery.pipeline import DiscoveryResult
+from repro.engine import DiscoveryResult
 
 
 @dataclass

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from repro.cu.graph import container_cus
-from repro.discovery.pipeline import DiscoveryResult
+from repro.engine import DiscoveryResult
 from repro.discovery.loops import LoopInfo
 from repro.profiler.deps import DepType
 

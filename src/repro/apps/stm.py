@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.discovery.loops import LoopInfo
-from repro.discovery.pipeline import DiscoveryResult
+from repro.engine import DiscoveryResult
 from repro.profiler.deps import DepType
 
 

@@ -183,12 +183,12 @@ def first_instance_events(
     """Extract the memory events of the first complete instance of a region
     (first iteration for loops) — the slice the bottom-up builder analyses."""
     out: list = []
-    strings = None
+    strings = sigs = None
     rid = region.region_id
     is_func = region.kind == "func"
     tid_of_instance: Optional[int] = None
     for chunk in chunks:
-        strings = chunk.strings
+        strings, sigs = chunk.strings, chunk.sigs
         names = strings.values
         for row in chunk.rows.tolist():
             kind = row[COL_KIND]
@@ -204,10 +204,10 @@ def first_instance_events(
                 kind == K_FEXIT and is_func
                 and names[row[COL_NAME]] == region.func
             ):
-                return EventChunk.from_rows(out, strings)
+                return EventChunk.from_rows(out, strings, sigs)
             if kind <= K_WRITE and row[COL_TID] == tid_of_instance:
                 out.append(row)
-    return EventChunk.from_rows(out, strings)
+    return EventChunk.from_rows(out, strings, sigs)
 
 
 def build_cus_bottom_up(

@@ -132,11 +132,6 @@ class CUGraph:
             chains.append(chain)
         return chains
 
-    def independent_groups(self) -> list[set]:
-        """Weakly connected components — groups with no dependences between
-        them can run fully in parallel."""
-        return [set(c) for c in nx.weakly_connected_components(self.graph)]
-
     def format_text(self) -> str:
         """ASCII rendering in the spirit of Fig. 3.6."""
         lines = []

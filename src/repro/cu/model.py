@@ -35,9 +35,6 @@ class CU:
     def name(self) -> str:
         return f"CU{self.cu_id}[{self.start_line}-{self.end_line}]"
 
-    def covers(self, line: int) -> bool:
-        return line in self.lines
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"<{self.name} {self.kind} R{self.region_id} "
@@ -119,12 +116,6 @@ class CURegistry:
     def cus_of_region(self, region_id: int) -> list[CU]:
         info = self.by_region.get(region_id)
         return info.cus() if info else []
-
-    def cu_covering(self, line: int, region_id: int) -> Optional[CU]:
-        for cu in self.cus_of_region(region_id):
-            if cu.covers(line):
-                return cu
-        return None
 
     def __len__(self) -> int:
         return len(self.all_cus)

@@ -12,7 +12,8 @@
   CU imbalance (§4.3).
 * :mod:`repro.discovery.suggestions` — suggestion records + OpenMP-style
   rendering.
-* :mod:`repro.discovery.pipeline` — the end-to-end Phase 1→2→3 driver.
+
+Phases 1→2→3 run end to end in :class:`repro.engine.DiscoveryEngine`.
 """
 
 from repro.discovery.loops import (
@@ -30,12 +31,6 @@ from repro.discovery.tasks import (
 )
 from repro.discovery.ranking import RankingScores, rank_suggestions
 from repro.discovery.suggestions import Suggestion
-from repro.discovery.pipeline import (
-    DiscoveryResult,
-    FunctionTaskAnalysis,
-    discover,
-    discover_source,
-)
 
 __all__ = [
     "LoopClass",
@@ -50,8 +45,4 @@ __all__ = [
     "RankingScores",
     "rank_suggestions",
     "Suggestion",
-    "DiscoveryResult",
-    "FunctionTaskAnalysis",
-    "discover",
-    "discover_source",
 ]

@@ -158,4 +158,4 @@ def anchor_events(
             out[moved, COL_AUX] = np.array(ids, dtype=np.int64)[inverse]
             out[moved, COL_LINE] = call_lines
         if out.shape[0]:
-            yield EventChunk(out, chunk.strings)
+            yield EventChunk(out, chunk.strings, chunk.sigs)

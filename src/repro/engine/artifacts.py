@@ -7,14 +7,14 @@ Each :class:`~repro.engine.core.DiscoveryEngine` phase returns one artifact:
 * ``detect()``    → :class:`DetectArtifact`    (Phase 2b: loop/task detection)
 * ``rank()``      → :class:`RankArtifact`      (Phase 3: scoring + ordering)
 
-and the assembled :class:`DiscoveryResult` is the classic all-in-one record
-the legacy ``discover()`` wrapper returns.
+and :meth:`~repro.engine.core.DiscoveryEngine.run` assembles them into the
+all-in-one :class:`DiscoveryResult`.
 
 Every artifact has a stable ``to_dict()``/``from_dict()`` JSON round-trip so
 it can be persisted to disk and reloaded (the DiscoPoP cu-graph-analyzer
 pattern: downstream tools consume persisted artifacts instead of re-running
-the program).  Live-only members — the compiled module, the VM, the raw
-event trace, CU graphs — are *not* serialized; a reloaded artifact carries
+the program).  Live-only members — the compiled module, the raw event
+trace, CU graphs — are *not* serialized; a reloaded artifact carries
 ``None`` there and supports every report/query that needs only the data.
 """
 
@@ -34,7 +34,6 @@ from repro.parallelize.validate import ValidationReport
 from repro.profiler.deps import DependenceStore
 from repro.profiler.pet import PETBuilder
 from repro.profiler.serial import ControlRecord
-from repro.runtime.interpreter import VM
 
 #: to_dict tag -> artifact class, for :func:`load_artifact` dispatch
 ARTIFACT_KINDS: dict = {}
@@ -87,7 +86,6 @@ class ProfileArtifact:
     #: TraceSink or SpillingTraceSink — anything with iter_chunks()
     trace: Optional[object] = None
     pet: Optional[PETBuilder] = None
-    vm: Optional[VM] = None
     #: the live BackendResult (extras: skip stats, parallel report, ...)
     backend_result: Optional[object] = None
 
@@ -321,7 +319,6 @@ class DiscoveryResult:
     #: loops — the Fig. 4.10 FaceDetection shape), keyed by loop region id
     loop_tasks: dict[int, FunctionTaskAnalysis] = field(default_factory=dict)
     trace: Optional[object] = None
-    vm: Optional[VM] = None
     #: thread count the suggestions were ranked for
     n_threads: int = 4
     #: wall seconds per engine phase (profile/build_cus/detect/rank);

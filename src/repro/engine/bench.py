@@ -146,6 +146,8 @@ def bench_vm_workload(
         np.array_equal(rows_s, rows_c)
         and traces["switch"][1].strings.values
         == traces["compiled"][1].strings.values
+        and traces["switch"][1].sigs.values
+        == traces["compiled"][1].sigs.values
         and [len(c) for c in traces["switch"][0].chunks]
         == [len(c) for c in traces["compiled"][0].chunks]
     )
@@ -313,32 +315,31 @@ DETECT_BENCH_EXTRA = ("fft",)
 DETECT_BENCH_SCALE = 2
 
 
-def _detector(mode: str, vm, signature_slots=None, *, workers=2,
+def _detector(mode: str, signature_slots=None, *, workers=2,
               sampling=None):
     from repro.profiler.sharded import ShardedDetector
     from repro.profiler.vectorized import VectorizedProfiler
 
     if mode == "sharded":
         return ShardedDetector(
-            signature_slots, vm.loop_signature,
-            n_shards=workers, sampling=sampling,
+            signature_slots, n_shards=workers, sampling=sampling,
         )
     if mode == "vectorized":
-        return VectorizedProfiler(signature_slots, vm.loop_signature)
+        return VectorizedProfiler(signature_slots)
     shadow = (
         PerfectShadow()
         if signature_slots is None
         else SignatureShadow(signature_slots)
     )
-    return SerialProfiler(shadow, vm.loop_signature)
+    return SerialProfiler(shadow)
 
 
-def _detect_trace(trace, vm, mode: str, reps: int):
+def _detect_trace(trace, mode: str, reps: int):
     """Best-of-``reps`` detection wall time over a recorded trace."""
     best = float("inf")
     profiler = None
     for _ in range(reps):
-        profiler = _detector(mode, vm)
+        profiler = _detector(mode)
         t0 = time.perf_counter()
         for chunk in trace.chunks:
             profiler.process_chunk(chunk)
@@ -359,7 +360,7 @@ def _finish_detector(profiler) -> None:
             flush()
 
 
-def _measured_detect_pass(trace, vm, mode: str, **kwargs) -> dict:
+def _measured_detect_pass(trace, mode: str, **kwargs) -> dict:
     """One untimed detection pass under tracemalloc.
 
     Peak-memory probes run separately from the timed loops on purpose:
@@ -369,7 +370,7 @@ def _measured_detect_pass(trace, vm, mode: str, **kwargs) -> dict:
     detector's own ``memory_bytes`` accounting (which, for the sharded
     core, includes the merged worker-side totals).
     """
-    profiler = _detector(mode, vm, **kwargs)
+    profiler = _detector(mode, **kwargs)
     tracemalloc.start()
     for chunk in trace.chunks:
         profiler.process_chunk(chunk)
@@ -408,8 +409,7 @@ def bench_detect_workload(
     row: dict = {"workload": name, "scale": scale, "gated": gated}
 
     trace = TraceSink()
-    vm = VM(module, trace, chunk_size=chunk_size)
-    vm.run(workload.entry)
+    VM(module, trace, chunk_size=chunk_size).run(workload.entry)
     events = len(trace)
     row["events"] = events
 
@@ -426,7 +426,7 @@ def bench_detect_workload(
     samples: dict[str, list] = {"loop": [], "vectorized": []}
     for _ in range(max(3, reps)):
         for mode in ("loop", "vectorized"):
-            profiler = _detector(mode, vm)
+            profiler = _detector(mode)
             gc.collect()
             gc.disable()
             try:
@@ -458,12 +458,12 @@ def bench_detect_workload(
 
     # -- per-run peak memory (untimed probe passes) --------------------
     for mode in ("loop", "vectorized"):
-        row[mode].update(_measured_detect_pass(trace, vm, mode))
+        row[mode].update(_measured_detect_pass(trace, mode))
 
     # -- the multi-process sharded core --------------------------------
     from repro.profiler.deps import DependenceStore, store_accuracy
 
-    sharded = _detector("sharded", vm, workers=sharded_workers)
+    sharded = _detector("sharded", workers=sharded_workers)
     gc.collect()
     t0 = time.perf_counter()
     for chunk in trace.chunks:
@@ -485,7 +485,7 @@ def bench_detect_workload(
     if sampling is not None:
         exact_store = DependenceStore.from_dict(stores["vectorized"])
         sampled = _detector(
-            "sharded", vm, workers=sharded_workers, sampling=sampling
+            "sharded", workers=sharded_workers, sampling=sampling
         )
         t0 = time.perf_counter()
         for chunk in trace.chunks:
@@ -556,13 +556,10 @@ def detect_equivalence_sweep(
         workload = get_workload(name)
         module = workload.compile(scale)
         trace = TraceSink()
-        vm = VM(
-            module, trace, chunk_size=chunk_size
-        )
-        vm.run(workload.entry)
+        VM(module, trace, chunk_size=chunk_size).run(workload.entry)
         results = {}
         for mode in ("loop", "vectorized"):
-            profiler, _ = _detect_trace(trace, vm, mode, 1)
+            profiler, _ = _detect_trace(trace, mode, 1)
             results[mode] = (
                 profiler.store.to_dict(),
                 {r: c.to_dict() for r, c in profiler.control.items()},
@@ -728,7 +725,7 @@ def run_detect_scale_bench(
     # -- single-process vectorized baseline ----------------------------
     gc.collect()
     rss_before = rss_self_kb()
-    vec = VectorizedProfiler(None, stream.sig_decoder)
+    vec = VectorizedProfiler()
     t0 = time.perf_counter()
     for chunk in stream.iter_chunks():
         vec.process_chunk(chunk)
@@ -746,7 +743,7 @@ def run_detect_scale_bench(
     # -- sharded exact -------------------------------------------------
     gc.collect()
     rss_before = rss_self_kb()
-    sharded = ShardedDetector(None, stream.sig_decoder, n_shards=workers)
+    sharded = ShardedDetector(n_shards=workers)
     t0 = time.perf_counter()
     for chunk in stream.iter_chunks():
         sharded.process_chunk(chunk)
@@ -781,9 +778,7 @@ def run_detect_scale_bench(
     # -- sharded sampled -----------------------------------------------
     if sampling is not None:
         gc.collect()
-        sampled = ShardedDetector(
-            None, stream.sig_decoder, n_shards=workers, sampling=sampling
-        )
+        sampled = ShardedDetector(n_shards=workers, sampling=sampling)
         t0 = time.perf_counter()
         for chunk in stream.iter_chunks():
             sampled.process_chunk(chunk)
@@ -1124,11 +1119,11 @@ FAULTS_BENCH_POLICY = {
 }
 
 
-def _faults_reference(trace, vm):
+def _faults_reference(trace):
     """The serial vectorized store every fault case must reproduce."""
     from repro.profiler.vectorized import VectorizedProfiler
 
-    ref = VectorizedProfiler(None, vm.loop_signature)
+    ref = VectorizedProfiler()
     for chunk in trace.chunks:
         ref.process_chunk(chunk)
     ref.flush()
@@ -1144,13 +1139,11 @@ def _faults_state(det) -> dict:
     }
 
 
-def _run_fault_case(trace, vm, plan, *, workers: int = 2) -> dict:
+def _run_fault_case(trace, plan, *, workers: int = 2) -> dict:
     """One supervised sharded run under a fault plan; never raises."""
     from repro.profiler.sharded import ShardedDetector
 
     det = ShardedDetector(
-        None,
-        vm.loop_signature,
         n_shards=workers,
         batch_events=FAULTS_BENCH_BATCH_EVENTS,
         slab_rows=FAULTS_BENCH_BATCH_EVENTS,
@@ -1209,9 +1202,8 @@ def run_faults_bench(
     workload = get_workload(FAULTS_BENCH_WORKLOAD)
     module = workload.compile(scale)
     trace = TraceSink()
-    vm = VM(module, trace, chunk_size=chunk_size)
-    vm.run(workload.entry)
-    reference = _faults_reference(trace, vm)
+    VM(module, trace, chunk_size=chunk_size).run(workload.entry)
+    reference = _faults_reference(trace)
 
     events = len(trace)
     n_batches = max(1, -(-events // FAULTS_BENCH_BATCH_EVENTS))
@@ -1233,7 +1225,7 @@ def run_faults_bench(
         ]
     for kind, batch in matrix:
         plan = FaultPlan([FaultEvent(kind=kind, shard=0, batch=batch)])
-        case = _run_fault_case(trace, vm, plan, workers=workers)
+        case = _run_fault_case(trace, plan, workers=workers)
         case.update(case_kind=kind, batch=batch, schedule="single")
         rows.append(case)
 
@@ -1242,7 +1234,7 @@ def run_faults_bench(
         plan = FaultPlan.scattered(
             seed + i, n_shards=workers, n_batches=n_batches,
         )
-        case = _run_fault_case(trace, vm, plan, workers=workers)
+        case = _run_fault_case(trace, plan, workers=workers)
         case.update(
             case_kind="+".join(e.kind for e in plan.events),
             batch=None,
@@ -1259,7 +1251,7 @@ def run_faults_bench(
             for gen in range(8)
         ]
     )
-    case = _run_fault_case(trace, vm, degrade_plan, workers=workers)
+    case = _run_fault_case(trace, degrade_plan, workers=workers)
     case.update(case_kind="kill_worker", batch=0, schedule="unrecoverable")
     rows.append(case)
 

@@ -14,8 +14,8 @@ Layout per job::
     config.json     the full DiscoveryConfig (provenance / debugging)
     attempts.json   recorded failures; len() = next attempt ordinal
     manifest.json   sha256 + size sidecar per artifact, last-access
-    trace.npz       the recorded event trace (chunk boundaries kept)
-    sigs.json       the VM's interned loop-signature table
+    trace.npz       the recorded event trace (chunk boundaries kept) and
+                    its string and loop-signature tables
     profile.json    ProfileArtifact.to_dict()
     cus.json        CUArtifact.to_dict()
     detect.json     DetectArtifact.to_dict()
@@ -92,21 +92,6 @@ def _read_json(path: str):
             return json.load(handle)
     except (OSError, ValueError):
         return None
-
-
-class _SignatureDecoder:
-    """Stands in for the profiling VM after a restore.
-
-    Downstream phases only need ``loop_signature`` (the interned
-    signature table); the VM itself is not reconstructable without
-    re-running the program — which is exactly what resume avoids.
-    """
-
-    def __init__(self, sig_list) -> None:
-        self._sig_list = [tuple(sig) for sig in sig_list]
-
-    def loop_signature(self, sig_id: int) -> tuple:
-        return self._sig_list[sig_id]
 
 
 class JobCheckpoint:
@@ -209,10 +194,6 @@ class JobCheckpoint:
         self.store.put_file(
             self.key, "trace.npz", lambda tmp: save_trace(profile.trace, tmp)
         )
-        sig_list = list(getattr(profile.vm, "_sig_list", [()]))
-        self.store.put_text(
-            self.key, "sigs.json", json.dumps([list(s) for s in sig_list])
-        )
 
     def save_result(self, row: dict) -> None:
         """Mark the job complete; presence of result.json = done."""
@@ -249,9 +230,11 @@ class JobCheckpoint:
         corrupt or truncated entry is quarantined (``.corrupt-N/``) and
         ends the prefix there, so the engine recomputes from the last
         trustworthy phase.  The profile artifact is rehydrated with its
-        trace, a rebuilt PET, and a :class:`_SignatureDecoder` shim in
-        the ``vm`` slot; later phases re-enter exactly where the
-        artifacts stop.  Returns the restored phase names.
+        trace (which carries its own signature table) and a rebuilt PET;
+        later phases re-enter exactly where the artifacts stop.  A trace
+        saved before traces carried that table cannot be decoded, so it
+        ends the prefix before ``profile`` and the job recomputes; any
+        other load error propagates.  Returns the restored phase names.
         """
         artifacts = {}
         restored = []
@@ -275,18 +258,19 @@ class JobCheckpoint:
         self, artifact: ProfileArtifact, engine
     ) -> Optional[ProfileArtifact]:
         from repro.profiler.pet import PETBuilder
-        from repro.runtime.events import load_trace
+        from repro.runtime.events import TraceLayoutError, load_trace
 
         trace_path = self.store.artifact_path(self.key, "trace.npz", heal=True)
-        sigs = self.store.read_json(self.key, "sigs.json", heal=True)
-        if trace_path is None or sigs is None:
+        if trace_path is None:
             return None  # phase row without its trace: treat as missing
-        trace = load_trace(trace_path)
+        try:
+            trace = load_trace(trace_path)
+        except TraceLayoutError:  # saved without its signature table
+            return None
         pet = PETBuilder()
         for chunk in trace.iter_chunks():
             pet.process_chunk(chunk)
         artifact.trace = trace
         artifact.pet = pet
-        artifact.vm = _SignatureDecoder(sigs)
         artifact.module = engine.module
         return artifact

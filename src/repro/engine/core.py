@@ -289,7 +289,6 @@ class DiscoveryEngine:
                 attach(self.obs.tracer, self.obs.metrics)
 
         vm = VM(self.module, tee, **config.resolved_vm_kwargs())
-        backend.sig_decoder = vm.loop_signature
         self.vm_runs += 1
         import time as _time
 
@@ -352,7 +351,6 @@ class DiscoveryEngine:
             module=self.module,
             trace=trace,
             pet=pet,
-            vm=vm,
             backend_result=result,
         )
 
@@ -454,9 +452,7 @@ class DiscoveryEngine:
         profile = self.profile()
         cus = self.build_cus()
         module = self.module
-        anchored_prof = SerialProfiler(
-            PerfectShadow(), profile.vm.loop_signature
-        )
+        anchored_prof = SerialProfiler(PerfectShadow())
         # anchored line counts attribute a call's entire dynamic subtree to
         # its call site — the work a task node really carries
         anchored_counts: dict[int, int] = {}
@@ -768,7 +764,6 @@ class DiscoveryEngine:
             pet=profile.pet,
             loop_tasks=detect.loop_tasks,
             trace=profile.trace if self.config.keep_trace else None,
-            vm=profile.vm,
             n_threads=ranked.n_threads,
             timings=dict(self.timings),
             timing_detail={
@@ -781,6 +776,3 @@ class DiscoveryEngine:
             validations=validations,
             prediction_error=prediction_error,
         )
-
-    #: alias mirroring the legacy function name
-    discover = run

@@ -62,11 +62,7 @@ class BackendResult:
 
 @runtime_checkable
 class ProfilerBackend(Protocol):
-    """A VM chunk sink that can be finished into a :class:`BackendResult`.
-
-    ``sig_decoder`` must be assignable after construction (the VM that
-    owns the loop-signature interning is built after the backend).
-    """
+    """A VM chunk sink that can be finished into a :class:`BackendResult`."""
 
     name: str
 
@@ -96,7 +92,6 @@ class SerialBackend:
         *,
         signature_slots: Optional[int] = None,
         skip_loops: bool = False,
-        sig_decoder=None,
         lifetime_analysis: bool = True,
         detect: str = "vectorized",
         detect_workers: int = 4,
@@ -118,7 +113,7 @@ class SerialBackend:
         self.detect_sampling = detect_sampling
         if detect == "sharded":
             self.profiler = ShardedDetector(
-                signature_slots, sig_decoder,
+                signature_slots,
                 n_shards=detect_workers,
                 sampling=detect_sampling,
                 lifetime_analysis=lifetime_analysis,
@@ -132,8 +127,7 @@ class SerialBackend:
             )
         elif detect == "vectorized":
             self.profiler = VectorizedProfiler(
-                signature_slots, sig_decoder,
-                lifetime_analysis=lifetime_analysis,
+                signature_slots, lifetime_analysis=lifetime_analysis
             )
         else:
             shadow = (
@@ -142,7 +136,7 @@ class SerialBackend:
                 else SignatureShadow(signature_slots)
             )
             self.profiler = SerialProfiler(
-                shadow, sig_decoder, lifetime_analysis=lifetime_analysis
+                shadow, lifetime_analysis=lifetime_analysis
             )
         self.sink = (
             SkippingProfiler(self.profiler) if skip_loops else self.profiler
@@ -153,14 +147,6 @@ class SerialBackend:
         self._tracer = None
         self._batches = None
         self._batch_events = None
-
-    @property
-    def sig_decoder(self):
-        return self.profiler.sig_decoder
-
-    @sig_decoder.setter
-    def sig_decoder(self, fn) -> None:
-        self.sink.sig_decoder = fn
 
     def attach_obs(self, tracer, metrics) -> None:
         """Adopt the engine's observability bundle (obs on only).
@@ -257,7 +243,6 @@ class ParallelBackend:
         *,
         signature_slots: Optional[int] = None,
         skip_loops: bool = False,
-        sig_decoder=None,
         n_workers: int = 8,
         queue_kind: str = "spsc",
         mode: str = "simulated",
@@ -276,7 +261,6 @@ class ParallelBackend:
         self.profiler = ParallelProfiler(
             n_workers,
             signature_slots=signature_slots,
-            sig_decoder=sig_decoder,
             queue_kind=queue_kind,
             mode=mode,
             lifetime_analysis=lifetime_analysis,
@@ -288,14 +272,6 @@ class ParallelBackend:
         self._tracer = None
         self._batches = None
         self._batch_events = None
-
-    @property
-    def sig_decoder(self):
-        return self.profiler.sig_decoder
-
-    @sig_decoder.setter
-    def sig_decoder(self, fn) -> None:
-        self.profiler.sig_decoder = fn
 
     def attach_obs(self, tracer, metrics) -> None:
         if tracer is not None and tracer.enabled:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -98,7 +98,6 @@ class ParallelProfiler:
         n_workers: int = 8,
         *,
         signature_slots: Optional[int] = None,
-        sig_decoder: Optional[Callable[[int], tuple]] = None,
         queue_kind: str = "spsc",
         mode: str = "simulated",
         redistribute_every: int = 50_000,
@@ -120,7 +119,6 @@ class ParallelProfiler:
         self.queue_kind = queue_kind
         self.detect = detect
         self.redistribute_every = redistribute_every
-        self._sig_decoder = sig_decoder or (lambda s: ())
 
         def _shadow():
             if signature_slots is None:
@@ -131,7 +129,6 @@ class ParallelProfiler:
             if detect == "vectorized":
                 return VectorizedProfiler(
                     signature_slots,
-                    self._sig_decoder,
                     lifetime_analysis=lifetime_analysis,
                     track_control=False,
                     # threaded mode: the producer must never flush a
@@ -144,7 +141,6 @@ class ParallelProfiler:
                 )
             return SerialProfiler(
                 _shadow(),
-                self._sig_decoder,
                 lifetime_analysis=lifetime_analysis,
                 track_control=False,
             )
@@ -176,16 +172,6 @@ class ParallelProfiler:
     # producer side
     # ------------------------------------------------------------------
 
-    @property
-    def sig_decoder(self):
-        return self._sig_decoder
-
-    @sig_decoder.setter
-    def sig_decoder(self, fn) -> None:
-        self._sig_decoder = fn
-        for worker in self.workers:
-            worker.sig_decoder = fn
-
     def __call__(self, chunk) -> None:
         self.process_chunk(chunk)
 
@@ -195,9 +181,9 @@ class ParallelProfiler:
         ``addr % W`` runs over the whole address column at once; the
         redistribution overrides — a handful of hot addresses — are then
         patched in with one boolean mask each.  Each worker receives its
-        shard as a sub-:class:`EventChunk` (order preserved, string table
-        shared), with the chunk's FREE events broadcast: appended to every
-        non-empty shard.
+        shard as a sub-:class:`EventChunk` (order preserved, string and
+        signature tables shared), with the chunk's FREE events broadcast:
+        appended to every non-empty shard.
         """
         rows = chunk.rows
         n_workers = self.n_workers
@@ -241,7 +227,7 @@ class ParallelProfiler:
                 access_counts[addr] = access_counts.get(addr, 0) + count
             self.report.produced_events += n_mem
         if n_mem or free_rows is not None:
-            strings = chunk.strings
+            strings, sigs = chunk.strings, chunk.sigs
             for w in range(n_workers):
                 shard = mem[workers == w] if n_mem else mem
                 if free_rows is not None:
@@ -250,7 +236,7 @@ class ParallelProfiler:
                     else:
                         shard = free_rows
                 if shard.shape[0]:
-                    self._dispatch(w, EventChunk(shard, strings))
+                    self._dispatch(w, EventChunk(shard, strings, sigs))
         self.report.produced_chunks += 1
         self._chunks_since_rebalance += 1
         if self._chunks_since_rebalance >= self.redistribute_every:
@@ -404,7 +390,7 @@ def calibrate_costs(n_probe: int = 200_000) -> CostModel:
     rows[:, COL_AUX] = i % 97
     rows[:, COL_TS] = i
     events = EventChunk(rows, StringTable([None, "v"]))
-    profiler = SerialProfiler(PerfectShadow(), lambda s: ())
+    profiler = SerialProfiler(PerfectShadow())
     t0 = time.perf_counter()
     profiler.process_chunk(events)
     c_proc = (time.perf_counter() - t0) / n_probe

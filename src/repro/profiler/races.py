@@ -29,6 +29,7 @@ from repro.runtime.events import (
     K_LOCK,
     K_UNLOCK,
     K_WRITE,
+    SignatureTable,
     StringTable,
 )
 
@@ -56,9 +57,10 @@ class DeferredSink:
         self._locks: dict[int, int] = {}
         self._out: list = []
         self._strings: Optional[StringTable] = None
+        self._sigs: Optional[SignatureTable] = None
 
     def __call__(self, chunk: EventChunk) -> None:
-        self._strings = chunk.strings
+        self._strings, self._sigs = chunk.strings, chunk.sigs
         for row in chunk.rows.tolist():
             self._feed(row)
         self._drain_ready()
@@ -97,7 +99,7 @@ class DeferredSink:
             self._out.append(pending.pop(0)[1])
 
     def _ship(self) -> None:
-        self.inner(EventChunk.from_rows(self._out, self._strings))
+        self.inner(EventChunk.from_rows(self._out, self._strings, self._sigs))
         self._out = []
 
     def _drain_ready(self) -> None:

@@ -15,14 +15,15 @@ Consumes instrumentation event chunks and builds merged dependences:
   state while unprotected by locks flags a potential data race (§2.3.4).
 
 Loop-carried classification decodes the interned loop-context signatures two
-accesses carried and finds the outermost loop whose iteration numbers
-differ — that loop is recorded as the dependence's *carrier*.
+accesses carried (through the chunk's :class:`SignatureTable`) and finds the
+outermost loop whose iteration numbers differ — that loop is recorded as the
+dependence's *carrier*.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.profiler.deps import Dependence, DependenceStore
 from repro.profiler.shadow import PerfectShadow, SignatureShadow
@@ -33,6 +34,7 @@ from repro.runtime.events import (
     K_FREE,
     K_READ,
     K_WRITE,
+    SignatureTable,
 )
 
 
@@ -95,21 +97,21 @@ class ProfileStats:
 class SerialProfiler:
     """Single-consumer profiling of an event stream.
 
-    ``shadow`` is either shadow implementation; ``sig_decoder`` maps interned
-    loop-context ids back to signature tuples (``VM.loop_signature``).
+    ``shadow`` is either shadow implementation.  Loop-context ids decode
+    through the stream's signature table, bound on the first chunk: the
+    ids the shadow keeps are only valid against that table, so a chunk
+    carrying another one raises ``ValueError``.
     """
 
     def __init__(
         self,
         shadow=None,
-        sig_decoder: Optional[Callable[[int], tuple]] = None,
         *,
         store: Optional[DependenceStore] = None,
         lifetime_analysis: bool = True,
         track_control: bool = True,
     ) -> None:
         self.shadow = shadow if shadow is not None else PerfectShadow()
-        self._sig_decoder = sig_decoder or (lambda sig_id: ())
         self.store = store if store is not None else DependenceStore()
         self.lifetime_analysis = lifetime_analysis
         self.track_control = track_control
@@ -117,15 +119,7 @@ class SerialProfiler:
         self.control: dict[int, ControlRecord] = {}
         #: int occurrence key -> Dependence (see process_chunk)
         self._dep_memo: dict[int, Dependence] = {}
-
-    @property
-    def sig_decoder(self):
-        return self._sig_decoder
-
-    @sig_decoder.setter
-    def sig_decoder(self, fn) -> None:
-        self._sig_decoder = fn
-        self._dep_memo.clear()
+        self._sigs: Optional[SignatureTable] = None
 
     # ------------------------------------------------------------------
 
@@ -176,7 +170,14 @@ class SerialProfiler:
         record_read = shadow.record_read
         record_write = shadow.record_write
         init_add = store.init_lines.add
-        decode = self._sig_decoder
+        if chunk.sigs is not self._sigs:
+            if self._sigs is not None:
+                raise ValueError(
+                    "serial detection requires one signature table per "
+                    "run (the shadow holds ids of the first)"
+                )
+            self._sigs = chunk.sigs
+        decode = chunk.sigs.values
         memo = self._dep_memo
         merge = self._merge_dep
         built = 0
@@ -188,7 +189,7 @@ class SerialProfiler:
                 if lw is not None:
                     code = 0
                     if lw[1] != ctx:
-                        carrier = classify_carrier(decode(lw[1]), decode(ctx))
+                        carrier = classify_carrier(decode[lw[1]], decode[ctx])
                         if carrier is not None:
                             code = (carrier + 1) << 16
                     mk = ((op << 52) | (lw[0] << 30) | code
@@ -216,9 +217,9 @@ class SerialProfiler:
                             code = 0
                             if rd[1] != ctx:
                                 if snk_sig is None:
-                                    snk_sig = decode(ctx)
+                                    snk_sig = decode[ctx]
                                 carrier = classify_carrier(
-                                    decode(rd[1]), snk_sig
+                                    decode[rd[1]], snk_sig
                                 )
                                 if carrier is not None:
                                     code = (carrier + 1) << 16
@@ -236,7 +237,7 @@ class SerialProfiler:
                         code = 0
                         if lw[1] != ctx:
                             carrier = classify_carrier(
-                                decode(lw[1]), decode(ctx)
+                                decode[lw[1]], decode[ctx]
                             )
                             if carrier is not None:
                                 code = (carrier + 1) << 16
@@ -335,6 +336,5 @@ def profile_source(
     )
     profiler = SerialProfiler(shadow)
     vm = VM(module, profiler, **vm_kwargs)
-    profiler.sig_decoder = vm.loop_signature
     result = vm.run(entry)
     return profiler, vm, result

@@ -39,11 +39,11 @@ is the tripwire.  With
 collisions the serial signature shadow would see (the same documented
 approximation §2.3.3 accepts).
 
-The interned tables ride along incrementally: the loop-signature
-decoder and the string table are unpicklable/monotonic, so the parent
-ships only the *suffix* of newly interned entries with each slab
-message and every worker grows a local mirror — a few tuples per
-message instead of event data.
+The interned tables ride along incrementally: the string and
+loop-signature tables only ever grow, so the parent ships only the
+*suffix* of newly interned entries with each slab message and every
+worker grows a local mirror — a few tuples per message instead of
+event data.
 
 **Sampling mode** (``sampling=rate``) is the accuracy-gated lossy path:
 the parent forwards every write / control / FREE row but only a
@@ -78,7 +78,7 @@ import time
 import traceback
 import warnings
 from multiprocessing import shared_memory
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -107,6 +107,7 @@ from repro.runtime.events import (
     K_READ,
     K_WRITE,
     N_COLS,
+    SignatureTable,
     StringTable,
 )
 
@@ -306,9 +307,8 @@ def _shard_worker(
     """Worker main: consume slab/segment messages, detect one shard.
 
     Module-level (not a closure) so the spawn start method can pickle
-    it; the interned tables arrive as incremental suffixes and grow
-    local mirrors — ``sig_table[sid]`` plays the parent's unpicklable
-    ``vm.loop_signature`` closure.
+    it; the interned string and signature tables arrive as incremental
+    suffixes and grow local mirrors.
 
     With ``obs_mode`` on, the worker keeps its own tracer / metrics
     registry and ships them in the final ``done`` payload (or alongside
@@ -344,11 +344,10 @@ def _shard_worker(
             np.ndarray((slab_rows, N_COLS), dtype=np.int64, buffer=s.buf)
             for s in slabs
         ]
-        sig_table: list[tuple] = [()]
         strings = StringTable()
+        sigs = SignatureTable()
         profiler = VectorizedProfiler(
             signature_slots,
-            lambda sid: sig_table[sid],
             lifetime_analysis=lifetime_analysis,
             track_control=False,
         )
@@ -387,9 +386,9 @@ def _shard_worker(
                 # interned value exactly once, in id order
                 strings.values.extend(names_sfx)
             if sigs_sfx:
-                sig_table.extend(sigs_sfx)
+                sigs.values.extend(sigs_sfx)
             if mine.shape[0]:
-                profiler.process_chunk(EventChunk(mine, strings))
+                profiler.process_chunk(EventChunk(mine, strings, sigs))
             if registry is not None:
                 registry.counter(
                     "batches", "messages this shard consumed"
@@ -670,7 +669,7 @@ class ShardedDetector:
 
     Drop-in peer of :class:`VectorizedProfiler` for the backend layer:
     same chunk-sink call convention and ``store``/``stats``/``control``/
-    ``collisions``/``sig_decoder``/``memory_bytes`` surface, plus
+    ``collisions``/``memory_bytes`` surface, plus
     :meth:`finalize`, which joins the workers and merges their stores
     and frontiers (idempotent; :meth:`~SerialBackend.finish` calls it).
 
@@ -684,7 +683,6 @@ class ShardedDetector:
     def __init__(
         self,
         signature_slots: Optional[int] = None,
-        sig_decoder: Optional[Callable[[int], tuple]] = None,
         *,
         n_shards: int = DEFAULT_SHARD_WORKERS,
         sampling: Optional[float] = None,
@@ -712,7 +710,6 @@ class ShardedDetector:
         self.worker_slots = signature_slots
         if sampling is not None and sampling_slots is not None:
             self.worker_slots = sampling_slots
-        self._sig_decoder = sig_decoder or (lambda sig_id: ())
         self.store = store if store is not None else DependenceStore()
         self.lifetime_analysis = lifetime_analysis
         self.track_control = track_control
@@ -727,6 +724,7 @@ class ShardedDetector:
         self.shipped_events = 0
         self._start_method = start_method
         self._strings: Optional[StringTable] = None
+        self._sigs: Optional[SignatureTable] = None
         self._buffer: list[np.ndarray] = []
         self._buffered = 0
         # interned-suffix watermarks: slot 0 (None / empty signature) is
@@ -740,7 +738,6 @@ class ShardedDetector:
         self._sigs_sent = 1
         self._names_pub = 1
         self._sigs_pub = 1
-        self._sig_tuples: list[tuple] = [()]
         self._procs: Optional[list] = None
         self._task_qs: list = []
         self._result_q = None
@@ -806,34 +803,18 @@ class ShardedDetector:
             else None
         self._metrics = metrics
 
-    # -- decoder / tables ----------------------------------------------
+    # -- interned tables -----------------------------------------------
 
-    @property
-    def sig_decoder(self):
-        return self._sig_decoder
-
-    @sig_decoder.setter
-    def sig_decoder(self, fn) -> None:
-        if self.shipped_events:
-            raise RuntimeError(
-                "cannot swap the signature decoder after events shipped"
-            )
-        self._sig_decoder = fn
-
-    def _decode_sigs_to(self, max_id: int) -> None:
-        """Mirror newly interned signatures for suffix shipping."""
-        decode = self._sig_decoder
-        tuples = self._sig_tuples
-        for sid in range(len(tuples), max_id + 1):
-            tuples.append(tuple(decode(sid)))
-
-    def _bind_strings(self, strings: StringTable) -> None:
+    def _bind_tables(
+        self, strings: StringTable, sigs: SignatureTable
+    ) -> None:
         if self._strings is None:
-            self._strings = strings
-        elif strings is not self._strings:
+            self._strings, self._sigs = strings, sigs
+        elif strings is not self._strings or sigs is not self._sigs:
             raise ValueError(
-                "sharded detection requires one string table per run "
-                "(interned ids already shipped to the workers)"
+                "sharded detection requires one string and signature "
+                "table per run (interned ids already shipped to the "
+                "workers)"
             )
 
     def _suffixes(self, rows: np.ndarray) -> tuple[tuple, tuple]:
@@ -847,8 +828,7 @@ class ShardedDetector:
             self._names_sent = max_nid + 1
         max_sig = int(rows[:, COL_SIG].max(initial=0))
         if max_sig >= self._sigs_sent:
-            self._decode_sigs_to(max_sig)
-            sigs_sfx = tuple(self._sig_tuples[self._sigs_sent: max_sig + 1])
+            sigs_sfx = tuple(self._sigs.values[self._sigs_sent: max_sig + 1])
             self._sigs_sent = max_sig + 1
         return names_sfx, sigs_sfx
 
@@ -1082,7 +1062,7 @@ class ShardedDetector:
         if self._strings is not None and self._names_pub > 1:
             names_sfx = tuple(self._strings.values[1:self._names_pub])
         if self._sigs_pub > 1:
-            sigs_sfx = tuple(self._sig_tuples[1:self._sigs_pub])
+            sigs_sfx = tuple(self._sigs.values[1:self._sigs_pub])
         for path in self._journal.entries:
             task_q.put(("npy", path, names_sfx, sigs_sfx))
             names_sfx = sigs_sfx = ()
@@ -1147,7 +1127,6 @@ class ShardedDetector:
         self._serial_shards = np.array(incomplete, dtype=np.int64)
         serial = VectorizedProfiler(
             self.worker_slots,
-            self._sig_decoder,
             lifetime_analysis=self.lifetime_analysis,
             track_control=False,
         )
@@ -1162,7 +1141,9 @@ class ShardedDetector:
             multi_shard_mask(rows, self.n_shards, self._serial_shards)
         ]
         if part.shape[0]:
-            self._degraded.process_chunk(EventChunk(part, self._strings))
+            self._degraded.process_chunk(
+                EventChunk(part, self._strings, self._sigs)
+            )
 
     def _pump_result(self, block: bool):
         """Consume one meaningful worker message (ack or done).
@@ -1292,7 +1273,7 @@ class ShardedDetector:
             raise RuntimeError("detector already finalized")
         if chunk.rows.shape[0] == 0:
             return
-        self._bind_strings(chunk.strings)
+        self._bind_tables(chunk.strings, chunk.sigs)
         self._buffer.append(chunk.rows)
         self._buffered += chunk.rows.shape[0]
         if self._buffered >= self.batch_events:
@@ -1310,7 +1291,9 @@ class ShardedDetector:
         self._buffered = 0
         self._dispatch(rows)
 
-    def process_segment(self, path: str, strings: StringTable) -> None:
+    def process_segment(
+        self, path: str, strings: StringTable, sigs: SignatureTable
+    ) -> None:
         """Detect one spilled segment file in stream order.
 
         Raw ``.npy`` segments broadcast as a path: every worker maps the
@@ -1321,7 +1304,7 @@ class ShardedDetector:
         """
         if self._finalized:
             raise RuntimeError("detector already finalized")
-        self._bind_strings(strings)
+        self._bind_tables(strings, sigs)
         self.flush()  # keep stream order: buffered rows ship first
         if path.endswith(".npy"):
             rows = np.load(path, mmap_mode="r")
@@ -1592,9 +1575,9 @@ class ShardedDetector:
         """Parent-resident footprint (plus worker totals once merged)."""
         slab_bytes = len(self._slabs) * self.slab_rows * N_COLS * 8
         buffered = sum(block.nbytes for block in self._buffer)
-        tables = 64 * len(self._sig_tuples)
+        tables = 0
         if self.sampler is not None:
-            tables += (
+            tables = (
                 64 * len(self.sampler._seen) + self.sampler._guard.nbytes
             )
         return (
@@ -1612,9 +1595,9 @@ def detect_spilled_trace(sink, detector) -> None:
     """
     segment_paths = getattr(sink, "segment_paths", None)
     if isinstance(detector, ShardedDetector) and segment_paths:
-        strings = sink.strings
+        strings, sigs = sink.strings, sink.sigs
         for path in segment_paths:
-            detector.process_segment(path, strings)
+            detector.process_segment(path, strings, sigs)
         for chunk in sink._resident:
             detector.process_chunk(chunk)
         return

@@ -125,14 +125,6 @@ class SkippingProfiler:
         return self.inner.store
 
     @property
-    def sig_decoder(self):
-        return self.inner.sig_decoder
-
-    @sig_decoder.setter
-    def sig_decoder(self, fn) -> None:
-        self.inner.sig_decoder = fn
-
-    @property
     def control(self):
         return self.inner.control
 
@@ -157,10 +149,13 @@ class SkippingProfiler:
         # so the forward buffer is flushed before any direct shadow access.
         shadow = self.inner.shadow
         strings = chunk.strings
-        decode = self.inner.sig_decoder
+        sigs = chunk.sigs
+        decode = sigs.values
 
         def inner_process(rows: list) -> None:
-            self.inner.process_chunk(EventChunk.from_rows(rows, strings))
+            self.inner.process_chunk(
+                EventChunk.from_rows(rows, strings, sigs)
+            )
 
         for ev in chunk.rows.tolist():
             kind = ev[COL_KIND]
@@ -189,7 +184,7 @@ class SkippingProfiler:
                         carried_bit = False  # identical loop context
                     else:
                         carried_bit = classify_carrier(
-                            decode(lw[1]), decode(ev[COL_SIG])
+                            decode[lw[1]], decode[ev[COL_SIG]]
                         ) is not None
                     status = (entry[0], entry[1], carried_bit)
                     if last_status.get(op) == status:
@@ -258,10 +253,10 @@ class SkippingProfiler:
                                 parts.append((rd[0], False))
                             else:
                                 if snk_sig is None:
-                                    snk_sig = decode(ev[COL_SIG])
+                                    snk_sig = decode[ev[COL_SIG]]
                                 parts.append(
                                     (rd[0],
-                                     classify_carrier(decode(rd[1]), snk_sig)
+                                     classify_carrier(decode[rd[1]], snk_sig)
                                      is not None)
                                 )
                         would_set = frozenset(parts)
@@ -274,8 +269,8 @@ class SkippingProfiler:
                         else:
                             would_set = (
                                 lw[0],
-                                classify_carrier(decode(lw[1]),
-                                                 decode(ev[COL_SIG]))
+                                classify_carrier(decode[lw[1]],
+                                                 decode[ev[COL_SIG]])
                                 is not None,
                             )
                     status = (entry[0], entry[1], entry[2], would_set)

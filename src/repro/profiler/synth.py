@@ -25,7 +25,8 @@ Everything is a pure function of the iteration index — no RNG state,
 no wall clock — so any two runs (and any sharding of one run) see
 byte-identical rows.  Loop signatures use a single region (id 1) with
 the iteration number recycled mod ``max_iters`` to bound the interned
-table; :attr:`SyntheticStream.sig_decoder` is the matching decoder.
+table; :attr:`SyntheticStream.sigs` is that table, and every chunk
+references it.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from repro.runtime.events import (
     K_READ,
     K_WRITE,
     N_COLS,
+    SignatureTable,
     StringTable,
 )
 
@@ -104,16 +106,11 @@ class SyntheticStream:
             name: self.strings.intern(name)
             for name in ("loop", "A", "B", "acc")
         }
-
-    def sig_decoder(self, sig_id: int) -> tuple:
-        """Loop-signature decoder matching the emitted sig ids."""
-        if sig_id == 0:
-            return ()
-        return ((_REGION, sig_id - 1),)
-
-    @property
-    def max_sig_id(self) -> int:
-        return min(self.n_iters, self.max_iters)
+        #: sig id ``1 + i`` is iteration ``i`` of the one loop region
+        n_sigs = min(self.n_iters, max_iters)
+        self.sigs = SignatureTable(
+            [()] + [((_REGION, i),) for i in range(n_sigs)]
+        )
 
     def _iter_block(self, start: int, stop: int, ts_base: int) -> np.ndarray:
         iters = np.arange(start, stop, dtype=np.int64)
@@ -169,5 +166,6 @@ class SyntheticStream:
             yield EventChunk(
                 np.concatenate(pending) if len(pending) > 1 else pending[0],
                 self.strings,
+                self.sigs,
             )
             pending = []

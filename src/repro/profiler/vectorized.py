@@ -54,7 +54,7 @@ ratio.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -76,6 +76,7 @@ from repro.runtime.events import (
     K_FREE,
     K_READ,
     K_WRITE,
+    SignatureTable,
     StringTable,
 )
 
@@ -245,9 +246,9 @@ class VectorizedProfiler:
     """Batched dependence detection over packed event chunks.
 
     Drop-in peer of :class:`~repro.profiler.serial.SerialProfiler`
-    (same constructor shape, ``stats``/``store``/``control``/
-    ``sig_decoder`` surface, chunk-sink call convention) producing a
-    bit-identical :class:`DependenceStore`.  ``signature_slots=None``
+    (same constructor shape, ``stats``/``store``/``control`` surface,
+    chunk-sink call convention) producing a bit-identical
+    :class:`DependenceStore`.  ``signature_slots=None``
     keys the frontier on exact addresses (the PerfectShadow semantics);
     an integer keys it on ``addr % slots`` with the SignatureShadow's
     collision counting and approximate eviction.
@@ -261,7 +262,6 @@ class VectorizedProfiler:
     def __init__(
         self,
         signature_slots: Optional[int] = None,
-        sig_decoder: Optional[Callable[[int], tuple]] = None,
         *,
         store: Optional[DependenceStore] = None,
         lifetime_analysis: bool = True,
@@ -271,7 +271,6 @@ class VectorizedProfiler:
         if signature_slots is not None and signature_slots <= 0:
             raise ValueError("signature must have a positive number of slots")
         self.signature_slots = signature_slots
-        self._sig_decoder = sig_decoder or (lambda sig_id: ())
         self.store = store if store is not None else DependenceStore()
         self.lifetime_analysis = lifetime_analysis
         self.track_control = track_control
@@ -284,24 +283,23 @@ class VectorizedProfiler:
         self._buffer: list[np.ndarray] = []
         self._buffered = 0
         self._buffer_strings: Optional[StringTable] = None
-        self._reset_sig_matrices()
-
-    # -- signature matrices --------------------------------------------
-
-    def _reset_sig_matrices(self) -> None:
+        #: the stream's signature table, decoded into the matrices below
+        self._sigs: Optional[SignatureTable] = None
         self._sig_n = 0
         self._sig_regs = np.zeros((0, SIG_DEPTH_CAP), dtype=np.int64)
         self._sig_pack = np.zeros((0, SIG_DEPTH_CAP), dtype=np.int64)
         self._sig_deep = np.zeros(0, dtype=bool)
 
-    @property
-    def sig_decoder(self):
-        return self._sig_decoder
+    # -- signature matrices --------------------------------------------
 
-    @sig_decoder.setter
-    def sig_decoder(self, fn) -> None:
-        self._sig_decoder = fn
-        self._reset_sig_matrices()
+    def _bind_sigs(self, sigs: SignatureTable) -> None:
+        if self._sigs is None:
+            self._sigs = sigs
+        elif sigs is not self._sigs:
+            raise ValueError(
+                "vectorized detection requires one signature table per "
+                "run (the frontier holds ids of the first)"
+            )
 
     def _ensure_sigs(self, max_a: int, max_b: int = -1) -> None:
         max_id = max_a if max_a >= max_b else max_b
@@ -330,9 +328,11 @@ class VectorizedProfiler:
             deep[: self._sig_deep.shape[0]] = self._sig_deep
             self._sig_regs, self._sig_pack = regs, pack
             self._sig_deep = deep
-        decode = self._sig_decoder
+        values = self._sigs.values
+        if max_id >= len(values):
+            raise IndexError(f"signature id {max_id} is not in the table")
         start = self._sig_n
-        decoded = [decode(sid) for sid in range(start, max_id + 1)]
+        decoded = values[start: max_id + 1]
         counts = np.fromiter(map(len, decoded), np.int64, len(decoded))
         flat = np.array(
             [value for pairs in decoded for pair in pairs for value in pair],
@@ -419,10 +419,10 @@ class VectorizedProfiler:
                 rows = easy[rows]
             ucode[rows] = ra[carried] + 1
         if any_deep:
-            decode = self._sig_decoder
+            decode = self._sigs.values
             for i in np.nonzero(deep_pair)[0].tolist():
                 carrier = classify_carrier(
-                    decode(int(a[i])), decode(int(b[i]))
+                    decode[int(a[i])], decode[int(b[i])]
                 )
                 if carrier is not None:
                     ucode[i] = carrier + 1
@@ -439,6 +439,7 @@ class VectorizedProfiler:
         rows = chunk.rows
         if rows.shape[0] == 0:
             return
+        self._bind_sigs(chunk.sigs)
         if self.batch_events <= 0:
             self._run(rows, chunk.strings.values)
             return

@@ -29,6 +29,7 @@ from repro.runtime.events import (
     EVENT_DTYPE,
     ChunkBuilder,
     EventChunk,
+    SignatureTable,
     SpillingTraceSink,
     StringTable,
     TraceSink,
@@ -63,6 +64,7 @@ __all__ = [
     "EVENT_DTYPE",
     "ChunkBuilder",
     "EventChunk",
+    "SignatureTable",
     "SpillingTraceSink",
     "StringTable",
     "TraceSink",

@@ -7,9 +7,11 @@ names, region kinds) interned through a :class:`StringTable`.  Every
 event kind maps onto the same nine columns (see :data:`COLUMNS`).
 
 ``sig`` is an interned id of the thread's loop-context stack
-``((region_id, iteration), ...)`` at the time of the access — the dependence
-builder uses it to classify loop-carried dependences.  ``ts`` is a global
-logical timestamp (one tick per executed instruction) — the paper's
+``((region_id, iteration), ...)`` at the time of the access — the profiler
+uses it to classify loop-carried dependences.  The ids index a
+:class:`SignatureTable` that every chunk references next to its strings, so
+any consumer decodes them without the VM that recorded the trace.  ``ts`` is
+a global logical timestamp (one tick per executed instruction) — the paper's
 "timestamp of every memory access" used to expose potential data races in
 multi-threaded targets (§2.3.4).
 """
@@ -75,27 +77,30 @@ EVENT_DTYPE = np.dtype([(name, np.int64) for name in COLUMNS])
 EVENT_NBYTES = EVENT_DTYPE.itemsize
 
 
-class StringTable:
-    """Bidirectional interning of the strings an event stream carries.
+class _InternTable:
+    """Bidirectional interning: value -> dense int id, ``values[id]`` back.
 
-    Index 0 is reserved for ``None`` (the name of memory events of unnamed
-    temporaries, whose ``var`` column is -1).  The table only ever grows, so
-    ids stay valid for the lifetime of a trace; chunks hold a reference to
-    the table instead of copies.
+    Slot 0 is reserved for the subclass's ``ROOT`` value.  A table only
+    ever grows, so ids stay valid for the lifetime of a trace; chunks hold
+    a reference to the table instead of copies.
     """
 
     __slots__ = ("values", "_ids")
+    ROOT: object = None
 
     def __init__(self, values: Optional[list] = None) -> None:
         if values:
-            if values[0] is not None:
-                raise ValueError("StringTable slot 0 is reserved for None")
+            if values[0] != self.ROOT:
+                raise ValueError(
+                    f"{type(self).__name__} slot 0 is reserved for "
+                    f"{self.ROOT!r}"
+                )
             self.values: list = list(values)
         else:
-            self.values = [None]
+            self.values = [self.ROOT]
         self._ids: dict = {v: i for i, v in enumerate(self.values)}
 
-    def intern(self, value: Optional[str]) -> int:
+    def intern(self, value) -> int:
         sid = self._ids.get(value)
         if sid is None:
             sid = len(self.values)
@@ -103,11 +108,19 @@ class StringTable:
             self.values.append(value)
         return sid
 
-    def decode(self, sid: int) -> Optional[str]:
+    def decode(self, sid: int):
         return self.values[sid]
 
     def __len__(self) -> int:
         return len(self.values)
+
+
+class StringTable(_InternTable):
+    """The strings an event stream carries (variable, function and region
+    kind names).  Slot 0 is ``None``: the name of memory events of unnamed
+    temporaries, whose ``var`` column is -1."""
+
+    __slots__ = ()
 
     def to_array(self) -> np.ndarray:
         """Unicode array for npz persistence (slot 0 stored as '')."""
@@ -122,19 +135,74 @@ class StringTable:
         return cls(values)
 
 
-class EventChunk:
-    """One packed columnar chunk: a ``(n, N_COLS)`` int64 array + strings."""
+class SignatureTable(_InternTable):
+    """Interned loop signatures: id -> ``((region_id, iteration), ...)``.
 
-    __slots__ = ("rows", "strings")
+    Slot 0 is the empty signature (outside every loop).  Consumers decode
+    with one list index, ``values[sig_id]``, because the per-event
+    profiler decodes on every carried access; an id the table lacks
+    raises ``IndexError``.
+    """
 
-    def __init__(self, rows: np.ndarray, strings: StringTable) -> None:
-        self.rows = rows
-        self.strings = strings
+    __slots__ = ()
+    ROOT = ()
+
+    def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(lengths, pairs)`` for npz persistence: the depth of every
+        signature, and all their (region, iteration) pairs flattened
+        into one ``(total, 2)`` array."""
+        values = self.values
+        lengths = np.fromiter(map(len, values), np.int64, len(values))
+        pairs = np.array(
+            [v for sig in values for pair in sig for v in pair],
+            dtype=np.int64,
+        ).reshape(-1, 2)
+        return lengths, pairs
 
     @classmethod
-    def from_rows(cls, rows: list, strings: StringTable) -> "EventChunk":
+    def from_arrays(
+        cls, lengths: np.ndarray, pairs: np.ndarray
+    ) -> "SignatureTable":
+        flat = [tuple(pair) for pair in pairs.tolist()]
+        values = []
+        pos = 0
+        for n in lengths.tolist():
+            values.append(tuple(flat[pos: pos + n]))
+            pos += n
+        return cls(values)
+
+
+class EventChunk:
+    """One packed columnar chunk: a ``(n, N_COLS)`` int64 array plus the
+    string and signature tables its ids index.
+
+    ``sigs`` defaults to a fresh table holding only the empty signature,
+    which is all a hand-built chunk whose ``sig`` column is 0 needs.
+    """
+
+    __slots__ = ("rows", "strings", "sigs")
+
+    def __init__(
+        self,
+        rows: np.ndarray,
+        strings: StringTable,
+        sigs: Optional[SignatureTable] = None,
+    ) -> None:
+        self.rows = rows
+        self.strings = strings
+        self.sigs = sigs if sigs is not None else SignatureTable()
+
+    @classmethod
+    def from_rows(
+        cls,
+        rows: list,
+        strings: StringTable,
+        sigs: Optional[SignatureTable] = None,
+    ) -> "EventChunk":
         """Pack a list of staged int rows (per-event filters forward these)."""
-        return cls(np.array(rows, dtype=np.int64).reshape(-1, N_COLS), strings)
+        return cls(
+            np.array(rows, dtype=np.int64).reshape(-1, N_COLS), strings, sigs
+        )
 
     # -- columns -------------------------------------------------------
 
@@ -159,8 +227,8 @@ class EventChunk:
         return self.rows[:, COL_KIND] <= K_WRITE
 
     def take(self, indices) -> "EventChunk":
-        """Row subset (order-preserving) sharing the string table."""
-        return EventChunk(self.rows[indices], self.strings)
+        """Row subset (order-preserving) sharing both tables."""
+        return EventChunk(self.rows[indices], self.strings, self.sigs)
 
     # -- sizes ---------------------------------------------------------
 
@@ -181,13 +249,17 @@ class ChunkBuilder:
     preallocated chunk in one vectorized assignment at flush time.
     """
 
-    __slots__ = ("capacity", "strings", "_rows")
+    __slots__ = ("capacity", "strings", "sigs", "_rows")
 
     def __init__(
-        self, capacity: int, strings: Optional[StringTable] = None
+        self,
+        capacity: int,
+        strings: Optional[StringTable] = None,
+        sigs: Optional[SignatureTable] = None,
     ) -> None:
         self.capacity = capacity
         self.strings = strings if strings is not None else StringTable()
+        self.sigs = sigs if sigs is not None else SignatureTable()
         self._rows = np.empty((capacity, N_COLS), dtype=np.int64)
 
     def build(self, staged: list) -> EventChunk:
@@ -208,7 +280,7 @@ class ChunkBuilder:
             rows = rows[:n]
         if n:
             rows[:] = staged
-        return EventChunk(rows, self.strings)
+        return EventChunk(rows, self.strings, self.sigs)
 
     def build_flat(self, staged: list) -> EventChunk:
         """Pack a *flat* staging list (:data:`N_COLS` ints per event).
@@ -221,7 +293,7 @@ class ChunkBuilder:
         rows = np.fromiter(staged, np.int64, len(staged)).reshape(
             -1, N_COLS
         )
-        return EventChunk(rows, self.strings)
+        return EventChunk(rows, self.strings, self.sigs)
 
 
 # ---------------------------------------------------------------------------
@@ -264,16 +336,16 @@ class SpillingTraceSink:
 
     Keeps at most ``max_resident_chunks`` packed chunks in RAM; older
     chunks are spilled to segment files, one chunk per segment, ``rows``
-    array only — the string table stays resident, it is tiny and
-    monotonic.  ``compress=True`` (the default) writes compressed
-    ``.npz``; ``compress=False`` writes raw ``.npy``, which consumers —
-    notably the sharded detection workers — can
-    ``np.load(..., mmap_mode="r")`` zero-copy straight out of the page
+    array only — the string and signature tables stay resident, they are
+    monotonic and far smaller than the rows.  ``compress=True`` (the
+    default) writes compressed ``.npz``; ``compress=False`` writes raw
+    ``.npy``, which consumers — notably the sharded detection workers —
+    can ``np.load(..., mmap_mode="r")`` zero-copy straight out of the page
     cache instead of decompressing per segment (:attr:`segment_paths`
     exposes the on-disk files).  :meth:`iter_chunks` re-iterates the full
     trace in order, loading spilled segments lazily, so CU construction
     and report generation no longer need the whole trace in memory.  The
-    VM hands over packed chunks and shares its string table.
+    VM hands over packed chunks and shares its tables.
     """
 
     def __init__(
@@ -293,6 +365,7 @@ class SpillingTraceSink:
         self._resident: deque[EventChunk] = deque()
         self._segments: list[str] = []
         self._strings: Optional[StringTable] = None
+        self._sigs: Optional[SignatureTable] = None
         self._spill_dir = spill_dir
         self._own_dir = spill_dir is None
         self._dir: Optional[str] = None
@@ -302,6 +375,7 @@ class SpillingTraceSink:
     def __call__(self, chunk: EventChunk) -> None:
         if self._strings is None:
             self._strings = chunk.strings
+            self._sigs = chunk.sigs
         self.n_events += len(chunk)
         self._resident.append(chunk)
         while len(self._resident) > self.max_resident_chunks:
@@ -340,6 +414,12 @@ class SpillingTraceSink:
         return self._strings
 
     @property
+    def sigs(self) -> SignatureTable:
+        if self._sigs is None:
+            self._sigs = SignatureTable()
+        return self._sigs
+
+    @property
     def resident_chunks(self) -> int:
         return len(self._resident)
 
@@ -354,13 +434,13 @@ class SpillingTraceSink:
         Raw ``.npy`` segments are memory-mapped read-only — iterating a
         spilled trace touches only the pages a consumer actually reads.
         """
-        strings = self.strings
+        strings, sigs = self.strings, self.sigs
         for path in self._segments:
             if path.endswith(".npy"):
-                yield EventChunk(np.load(path, mmap_mode="r"), strings)
+                yield EventChunk(np.load(path, mmap_mode="r"), strings, sigs)
             else:
                 with np.load(path) as data:
-                    yield EventChunk(data["rows"], strings)
+                    yield EventChunk(data["rows"], strings, sigs)
         yield from self._resident
 
     def __len__(self) -> int:
@@ -398,31 +478,47 @@ class SpillingTraceSink:
             pass
 
 
+class TraceLayoutError(ValueError):
+    """A saved trace in a layout :func:`load_trace` cannot decode."""
+
+
 def save_trace(sink, path: str) -> None:
     """Persist a recorded trace (any sink with ``iter_chunks``) as one npz.
 
-    Layout: ``strings`` (unicode array, slot 0 = None) + ``rows_000000...``
-    one array per chunk, preserving chunk boundaries.
+    Layout: ``strings`` (unicode array, slot 0 = None), the signature
+    table as ``sig_lengths`` + ``sig_pairs`` (see
+    :meth:`SignatureTable.to_arrays`), and ``rows_000000...`` one array
+    per chunk, preserving chunk boundaries.
     """
     arrays: dict[str, np.ndarray] = {}
-    strings: Optional[StringTable] = None
+    strings, sigs = StringTable(), SignatureTable()
     for i, chunk in enumerate(sink.iter_chunks()):
-        strings = chunk.strings
+        strings, sigs = chunk.strings, chunk.sigs
         arrays[f"rows_{i:06d}"] = chunk.rows
-    if strings is None:
-        strings = StringTable()
     arrays["strings"] = strings.to_array()
+    arrays["sig_lengths"], arrays["sig_pairs"] = sigs.to_arrays()
     with open(path, "wb") as handle:
         np.savez_compressed(handle, **arrays)
 
 
 def load_trace(path: str) -> TraceSink:
-    """Reload a :func:`save_trace` artifact into an in-memory TraceSink."""
+    """Reload a :func:`save_trace` artifact into an in-memory TraceSink.
+
+    Raises :class:`TraceLayoutError` for a file without a signature table
+    (written before traces carried one): its ``sig`` ids cannot be decoded.
+    """
     sink = TraceSink()
     with np.load(path) as data:
+        if "sig_lengths" not in data.files:
+            raise TraceLayoutError(
+                f"{path}: trace has no loop-signature table"
+            )
         strings = StringTable.from_array(data["strings"])
+        sigs = SignatureTable.from_arrays(
+            data["sig_lengths"], data["sig_pairs"]
+        )
         for key in sorted(k for k in data.files if k.startswith("rows_")):
-            sink(EventChunk(data[key], strings))
+            sink(EventChunk(data[key], strings, sigs))
     return sink
 
 
@@ -434,13 +530,3 @@ def add_line_counts(counts: dict, chunk: EventChunk) -> None:
     )
     for line, count in zip(lines.tolist(), n.tolist()):
         counts[line] = counts.get(line, 0) + count
-
-
-def count_memory_accesses(sink) -> tuple[int, int]:
-    """(reads, writes) in a recorded trace."""
-    reads = writes = 0
-    for chunk in sink.iter_chunks():
-        kinds = chunk.kind
-        reads += int((kinds == K_READ).sum())
-        writes += int((kinds == K_WRITE).sum())
-    return reads, writes

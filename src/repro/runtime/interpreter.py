@@ -48,6 +48,7 @@ from repro.runtime.events import (
     K_WRITE,
     N_COLS,
     ChunkBuilder,
+    SignatureTable,
     StringTable,
     TraceSink,
 )
@@ -178,9 +179,8 @@ class VM:
         self._lock_owner: dict[int, int] = {}
         self._lock_waiters: dict[int, deque[int]] = {}
 
-        # loop-signature interning (see events.py docstring)
-        self._sig_table: dict[tuple, int] = {(): 0}
-        self._sig_list: list[tuple] = [()]
+        #: interned loop signatures; every emitted chunk references it
+        self.sigs = SignatureTable()
 
         self._buffer: list[tuple] = []
         # region metadata caches for fast marker handling
@@ -212,7 +212,7 @@ class VM:
                 rid: self.strings.intern(kind)
                 for rid, kind in self._region_kind.items()
             }
-            self._chunks = ChunkBuilder(chunk_size, self.strings)
+            self._chunks = ChunkBuilder(chunk_size, self.strings, self.sigs)
 
         self._builtins = _make_builtins()
 
@@ -280,17 +280,9 @@ class VM:
     # ------------------------------------------------------------------
 
     def _intern_sig(self, thread: ThreadState) -> None:
-        key = tuple((entry[0], entry[1]) for entry in thread.loop_stack)
-        sig_id = self._sig_table.get(key)
-        if sig_id is None:
-            sig_id = len(self._sig_list)
-            self._sig_table[key] = sig_id
-            self._sig_list.append(key)
-        thread.sig_id = sig_id
-
-    def loop_signature(self, sig_id: int) -> tuple:
-        """Decode an interned loop signature back to ((region, iter), ...)."""
-        return self._sig_list[sig_id]
+        thread.sig_id = self.sigs.intern(
+            tuple((entry[0], entry[1]) for entry in thread.loop_stack)
+        )
 
     # ------------------------------------------------------------------
     # thread management

@@ -32,7 +32,6 @@ def profile_program(source: str, *, entry: str = "main", shadow=None, **vm_kwarg
         profiler.process_chunk(chunk)
 
     vm = VM(module, tee, **vm_kwargs)
-    profiler.sig_decoder = vm.loop_signature
     result = vm.run(entry)
     return profiler, trace, vm, result, module
 

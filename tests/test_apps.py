@@ -14,7 +14,7 @@ from repro.apps.ml import (
     train_test_split,
 )
 from repro.apps.stm import analyze_transactions
-from repro.discovery import discover_source
+from repro.engine import DiscoveryEngine
 from repro.mir.lowering import compile_source
 from repro.profiler.serial import SerialProfiler
 from repro.profiler.shadow import PerfectShadow
@@ -85,13 +85,13 @@ class TestDoallClassifier:
         corpus = []
         for name in names:
             w = get_workload(name)
-            res = discover_source(w.source(1))
+            res = DiscoveryEngine.from_source(w.source(1)).run()
             corpus.append((name, res, w.ground_truth(1)))
         return corpus
 
     def test_feature_vectors_shape(self):
         w = get_workload("matmul")
-        res = discover_source(w.source(1))
+        res = DiscoveryEngine.from_source(w.source(1)).run()
         for info in res.loops:
             vec = loop_feature_vector(res, info)
             assert vec.shape == (len(LOOP_FEATURES),)
@@ -113,7 +113,7 @@ class TestDoallClassifier:
 
 class TestSTM:
     def test_transactions_found_for_shared_state(self):
-        res = discover_source("""int hist[16];
+        res = DiscoveryEngine.from_source("""int hist[16];
 int data[200];
 int main() {
   for (int i = 0; i < 200; i++) { data[i] = (i * 7) % 16; }
@@ -122,24 +122,24 @@ int main() {
   }
   return hist[3];
 }
-""")
+""").run()
         analysis = analyze_transactions(res, "histo")
         assert analysis.total_transactions >= 1
         assert analysis.max_write_set() >= 1
 
     def test_clean_doall_needs_no_transactions(self):
-        res = discover_source("""int a[100];
+        res = DiscoveryEngine.from_source("""int a[100];
 int main() {
   for (int i = 0; i < 100; i++) { a[i] = i; }
   return a[0];
 }
-""")
+""").run()
         analysis = analyze_transactions(res, "clean")
         assert analysis.total_transactions == 0
 
     def test_nas_analysis_runs(self):
         w = get_workload("CG")
-        res = discover_source(w.source(1))
+        res = DiscoveryEngine.from_source(w.source(1)).run()
         analysis = analyze_transactions(res, "CG")
         assert analysis.total_transactions >= 0  # smoke: runs to completion
 
@@ -150,7 +150,6 @@ class TestCommPatterns:
         module = w.compile(1)
         prof = SerialProfiler(PerfectShadow())
         vm = VM(module, prof, quantum=16)
-        prof.sig_decoder = vm.loop_signature
         vm.run()
         return prof
 

@@ -121,7 +121,7 @@ int main() {
 
     def test_anchored_dependence_between_calls(self):
         module, chunks, vm = self._anchored()
-        prof = SerialProfiler(PerfectShadow(), vm.loop_signature)
+        prof = SerialProfiler(PerfectShadow())
         for chunk in chunks:
             prof.process_chunk(chunk)
         # consume() reads what produce() wrote: RAW 12 <- 11 on `shared`
@@ -181,7 +181,7 @@ int main() {
 """
         module, trace, vm = _record(src)
         region = module.region_of_function("main")
-        prof = SerialProfiler(PerfectShadow(), vm.loop_signature)
+        prof = SerialProfiler(PerfectShadow())
         for chunk in anchor_events(trace.iter_chunks(), module, region):
             prof.process_chunk(chunk)
         raws = {
@@ -194,7 +194,7 @@ int main() {
 
 def _anchored_store_vectorized(engine, region):
     profile = engine.profile()
-    prof = VectorizedProfiler(sig_decoder=profile.vm.loop_signature)
+    prof = VectorizedProfiler()
     for chunk in anchor_events(
         profile.trace.iter_chunks(), engine.module, region
     ):

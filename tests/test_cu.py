@@ -40,7 +40,6 @@ def _run_with_cus(src):
         prof.process_chunk(chunk)
 
     vm = VM(module, tee)
-    prof.sig_decoder = vm.loop_signature
     vm.run()
     registry = build_cus(module, trace.iter_chunks())
     return module, trace, prof, registry

@@ -48,19 +48,19 @@ def record(name: str, **vm_kwargs):
     return trace, vm
 
 
-def loop_profile(trace, vm, *, slots=None):
+def loop_profile(trace, *, slots=None):
     shadow = PerfectShadow() if slots is None else SignatureShadow(slots)
-    profiler = SerialProfiler(shadow, vm.loop_signature)
+    profiler = SerialProfiler(shadow)
     for chunk in trace.chunks:
         profiler.process_chunk(chunk)
     return profiler
 
 
-def vec_profile(trace, vm, *, slots=None, batch_events=None):
+def vec_profile(trace, *, slots=None, batch_events=None):
     kwargs = {}
     if batch_events is not None:
         kwargs["batch_events"] = batch_events
-    profiler = VectorizedProfiler(slots, vm.loop_signature, **kwargs)
+    profiler = VectorizedProfiler(slots, **kwargs)
     for chunk in trace.chunks:
         profiler.process_chunk(chunk)
     profiler.flush()
@@ -94,9 +94,9 @@ class TestThreeWayMatrix:
     @pytest.mark.parametrize("name", ALL_WORKLOADS)
     def test_store_equality(self, name):
         trace, vm = record(name)
-        loop = loop_profile(trace, vm)
-        vectorized = vec_profile(trace, vm)
-        per_chunk = vec_profile(trace, vm, batch_events=0)
+        loop = loop_profile(trace)
+        vectorized = vec_profile(trace)
+        per_chunk = vec_profile(trace, batch_events=0)
         assert state_of(loop) == state_of(vectorized), name
         assert state_of(vectorized) == state_of(per_chunk), name
         # equal stores must give equal reports, whatever order each core
@@ -117,9 +117,9 @@ class TestFrontierBoundaries:
     @pytest.mark.parametrize("name", BOUNDARY_WORKLOADS)
     def test_chunk_sizes(self, name, chunk_size):
         trace, vm = record(name, chunk_size=chunk_size)
-        loop = loop_profile(trace, vm)
+        loop = loop_profile(trace)
         for batch_events in (0, 64, 1 << 16):
-            vec = vec_profile(trace, vm, batch_events=batch_events)
+            vec = vec_profile(trace, batch_events=batch_events)
             assert loop.store.to_dict() == vec.store.to_dict(), (
                 name, chunk_size, batch_events,
             )
@@ -128,8 +128,8 @@ class TestFrontierBoundaries:
     def test_signature_mode(self, name):
         trace, vm = record(name)
         for slots in (31, 257):
-            loop = loop_profile(trace, vm, slots=slots)
-            vec = vec_profile(trace, vm, slots=slots)
+            loop = loop_profile(trace, slots=slots)
+            vec = vec_profile(trace, slots=slots)
             assert loop.store.to_dict() == vec.store.to_dict()
             assert loop.shadow.collisions == vec.collisions
 
@@ -147,7 +147,7 @@ class TestFrontierBoundaries:
         ts += 1
         rows.append((K_WRITE, 7, 99, "x", 99, 0, ts, 0, 0))
         events = make_chunk(rows)
-        loop = SerialProfiler(PerfectShadow(), lambda s: ())
+        loop = SerialProfiler(PerfectShadow())
         loop.process_chunk(events)
         for batch in (0, 1, 3, 1000):
             vec = VectorizedProfiler(batch_events=batch)
@@ -183,7 +183,7 @@ class TestEviction:
         size = 100_000_000
         events = self._lifetime_events(1000, size)
         shadow = PerfectShadow()
-        profiler = SerialProfiler(shadow, lambda s: ())
+        profiler = SerialProfiler(shadow)
         t0 = time.perf_counter()
         profiler.process_chunk(events)
         wall = time.perf_counter() - t0
@@ -200,9 +200,9 @@ class TestEviction:
         """A bulk eviction mid-chunk is seen by the rest of the chunk's
         walk, exactly as if the free had ended a chunk."""
         events = self._lifetime_events(1000, 10_000_000)
-        whole = SerialProfiler(PerfectShadow(), lambda s: ())
+        whole = SerialProfiler(PerfectShadow())
         whole.process_chunk(events)
-        split = SerialProfiler(PerfectShadow(), lambda s: ())
+        split = SerialProfiler(PerfectShadow())
         free_at = 17  # the FREE row: 16 accesses precede it
         split.process_chunk(events.take(slice(0, free_at + 1)))
         split.process_chunk(events.take(slice(free_at + 1, None)))
@@ -216,7 +216,7 @@ class TestEviction:
         big = self._lifetime_events(1000, 10_000_000)  # filters in bulk
         stores = []
         for events in (small, big):
-            profiler = SerialProfiler(PerfectShadow(), lambda s: ())
+            profiler = SerialProfiler(PerfectShadow())
             profiler.process_chunk(events)
             stores.append(profiler.store.to_dict())
         assert stores[0] == stores[1]
@@ -224,7 +224,7 @@ class TestEviction:
     def test_vectorized_frontier_eviction_equivalent(self):
         """The frontier applies FREE ranges without enumerating them."""
         events = self._lifetime_events(1000, 100_000_000)
-        loop = SerialProfiler(PerfectShadow(), lambda s: ())
+        loop = SerialProfiler(PerfectShadow())
         loop.process_chunk(events)
         for batch in (0, 1, 4, 1000):
             vec = VectorizedProfiler(batch_events=batch)
@@ -239,7 +239,7 @@ class TestEviction:
     def test_signature_full_clear(self):
         """A free spanning the whole signature clears every slot."""
         events = self._lifetime_events(1000, 10_000)
-        loop = SerialProfiler(SignatureShadow(31), lambda s: ())
+        loop = SerialProfiler(SignatureShadow(31))
         loop.process_chunk(events)
         vec = VectorizedProfiler(31)
         vec.process_chunk(events)
@@ -255,7 +255,6 @@ class TestBackendsAndConfig:
         for detect in ("loop", "vectorized"):
             backend = make_backend("serial", detect=detect)
             vm = VM(module, backend)
-            backend.sig_decoder = vm.loop_signature
             vm.run(workload.entry)
             result = backend.finish()
             assert result.stats["detect"] == detect
@@ -281,7 +280,6 @@ class TestBackendsAndConfig:
                 "parallel", n_workers=4, detect=detect
             )
             vm = VM(module, backend)
-            backend.sig_decoder = vm.loop_signature
             vm.run(workload.entry)
             result = backend.finish()
             assert result.stats["detect"] == detect

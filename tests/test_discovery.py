@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.discovery import discover_source
 from repro.discovery.loops import LoopClass
 from repro.discovery.ranking import (
     cu_imbalance,
@@ -10,6 +9,7 @@ from repro.discovery.ranking import (
     loop_local_speedup,
     rank_suggestions,
 )
+from repro.engine import DiscoveryEngine
 from repro.simulate import (
     simulate_doall,
     simulate_pipeline,
@@ -21,23 +21,23 @@ from repro.workloads import get_workload
 
 def _discover(name, scale=1, **kwargs):
     w = get_workload(name)
-    return discover_source(w.source(scale), **kwargs)
+    return DiscoveryEngine.from_source(w.source(scale), **kwargs).run()
 
 
 class TestLoopDetection:
     def test_doall_detected(self):
-        res = discover_source("""int a[100];
+        res = DiscoveryEngine.from_source("""int a[100];
 int main() {
   for (int i = 0; i < 100; i++) {
     a[i] = i * 2;
   }
   return a[99];
 }
-""")
+""").run()
         assert res.loops[0].classification == LoopClass.DOALL
 
     def test_reduction_detected(self):
-        res = discover_source("""int a[100];
+        res = DiscoveryEngine.from_source("""int a[100];
 int total;
 int main() {
   for (int i = 0; i < 100; i++) { a[i] = i; }
@@ -46,14 +46,14 @@ int main() {
   }
   return total;
 }
-""")
+""").run()
         red = [l for l in res.loops
                if l.classification == LoopClass.DOALL_REDUCTION]
         assert len(red) == 1
         assert red[0].reduction_vars == {"total"}
 
     def test_recurrence_sequential(self):
-        res = discover_source("""int c[100];
+        res = DiscoveryEngine.from_source("""int c[100];
 int main() {
   c[0] = 1;
   for (int i = 1; i < 100; i++) {
@@ -61,12 +61,12 @@ int main() {
   }
   return c[99];
 }
-""")
+""").run()
         assert res.loops[0].classification == LoopClass.SEQUENTIAL
         assert res.loops[0].blocking
 
     def test_privatizable_war_does_not_block(self):
-        res = discover_source("""int a[50];
+        res = DiscoveryEngine.from_source("""int a[50];
 int b[50];
 int tmp;
 int main() {
@@ -77,7 +77,7 @@ int main() {
   }
   return b[49];
 }
-""")
+""").run()
         second = [l for l in res.loops if l.start_line == 6][0]
         assert second.is_parallelizable
         assert "tmp" in second.private_vars
@@ -85,7 +85,7 @@ int main() {
     def test_doacross_pipeline_detected(self):
         """A loop with a carried RAW on a small part of the body and
         independent heavy work should be DOACROSS."""
-        res = discover_source("""int state;
+        res = DiscoveryEngine.from_source("""int state;
 int out[60];
 int work[60];
 int main() {
@@ -100,25 +100,25 @@ int main() {
   }
   return state + out[59];
 }
-""")
+""").run()
         target = [l for l in res.loops if l.start_line == 6][0]
         assert target.classification in (LoopClass.DOACROSS,)
         assert target.parallel_fraction > 0.5
 
     def test_iteration_variable_ignored(self):
-        res = discover_source("""int a[40];
+        res = DiscoveryEngine.from_source("""int a[40];
 int main() {
   for (int i = 0; i < 40; i++) {
     a[i] = i;
   }
   return a[0];
 }
-""")
+""").run()
         info = res.loops[0]
         assert not any(d.var == "i" for d in info.blocking)
 
     def test_nested_loop_classification_independent(self):
-        res = discover_source("""float u[64];
+        res = DiscoveryEngine.from_source("""float u[64];
 int main() {
   for (int i = 1; i < 7; i++) {
     for (int j = 1; j < 7; j++) {
@@ -127,7 +127,7 @@ int main() {
   }
   return __int(u[9] * 100.0);
 }
-""")
+""").run()
         assert all(l.is_parallelizable for l in res.loops)
 
 

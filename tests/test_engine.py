@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.discovery import call_sites, discover_source
+from repro.discovery import call_sites
 from repro.discovery.tasks import _call_sites
 from repro.engine import (
     CUArtifact,
@@ -132,13 +132,6 @@ class TestPhaseCaching:
         assert engine.vm_runs == 2
         second = engine.run()
         assert second.format_report() == first.format_report()
-
-    def test_engine_matches_legacy_wrapper(self):
-        legacy = discover_source(LOOPY)
-        staged = DiscoveryEngine.from_source(LOOPY).run()
-        assert staged.format_report() == legacy.format_report()
-        assert staged.return_value == legacy.return_value
-        assert staged.total_instructions == legacy.total_instructions
 
 
 class TestArtifactRoundTrips:

@@ -408,7 +408,7 @@ class TestShardedErrorObs:
         trace = TraceSink()
         vm = VM(workload.compile(1), trace)
         vm.run(workload.entry)
-        det = ShardedDetector(None, vm.loop_signature, n_shards=2)
+        det = ShardedDetector(None, n_shards=2)
         det.attach_obs(Tracer(enabled=True), MetricsRegistry())
         try:
             det.process_chunk(trace.chunks[0])
@@ -421,7 +421,8 @@ class TestShardedErrorObs:
             rows[:, COL_LINE] = 3
             rows[:, COL_NAME] = 500_000
             rows[:, COL_TS] = (10, 11)
-            det.process_chunk(EventChunk(rows, trace.chunks[0].strings))
+            first = trace.chunks[0]
+            det.process_chunk(EventChunk(rows, first.strings, first.sigs))
             with pytest.raises(ShardedDetectionError) as excinfo:
                 det.finalize()
             err = excinfo.value

@@ -260,21 +260,28 @@ class TestTaskGraphTransform:
         assert plan.entries.index(entry) not in plan.modules
 
 
+def _track_vms(monkeypatch) -> list:
+    """Weak references to every VM constructed from now on."""
+    refs = []
+    init = VM.__init__
+
+    def tracking_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(VM, "__init__", tracking_init)
+    return refs
+
+
 class TestVMLifetime:
     """A finished VM is freed by reference counting alone: its compiled
-    closure tables (which capture it) are released when its run ends."""
+    closure tables (which capture it) are released when its run ends,
+    and nothing downstream of a run keeps it."""
 
     def test_no_vm_outlives_its_validation_run(self, monkeypatch):
         engine, result, plan = _plan_for(DOALL_SRC)
         assert plan.feasible_entries
-        refs = []
-        init = VM.__init__
-
-        def tracking_init(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            refs.append(weakref.ref(self))
-
-        monkeypatch.setattr(VM, "__init__", tracking_init)
+        refs = _track_vms(monkeypatch)
         gc.collect()
         gc.disable()
         try:
@@ -288,6 +295,26 @@ class TestVMLifetime:
             parallel = refs[1:]
             assert len(parallel) == len(plan.feasible_entries)
             assert all(ref() is None for ref in parallel)
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("options", [
+        {},
+        {"detect": "loop"},
+        {"skip_loops": True},
+        {"backend": "parallel", "spill_trace": True},
+    ])
+    def test_no_vm_outlives_the_profile_phase(self, monkeypatch, options):
+        # the chunks carry the signature table, so neither the profile
+        # artifact nor the detection backend needs the recording VM
+        engine = DiscoveryEngine.from_source(DOALL_SRC, **options)
+        refs = _track_vms(monkeypatch)
+        gc.collect()
+        gc.disable()
+        try:
+            profile = engine.profile()
+            assert len(refs) == 1 and refs[0]() is None
+            assert any(dep.loop_carried for dep in profile.store)
         finally:
             gc.enable()
 

@@ -22,12 +22,15 @@ from repro.profiler.pet import PETBuilder
 from repro.profiler.serial import SerialProfiler
 from repro.profiler.shadow import PerfectShadow, SignatureShadow
 from repro.profiler.skipping import SkippingProfiler
+from repro.profiler.vectorized import VectorizedProfiler
 from repro.runtime.events import (
+    COL_SIG,
     EVENT_DTYPE,
     EVENT_NBYTES,
     EventChunk,
     K_READ,
     K_WRITE,
+    SignatureTable,
     SpillingTraceSink,
     StringTable,
     TraceSink,
@@ -53,6 +56,15 @@ def record(module, entry: str, **vm_kwargs):
 
 def rows_of(trace) -> np.ndarray:
     return np.concatenate([chunk.rows for chunk in trace.iter_chunks()])
+
+
+def assert_sigs_decode(trace, vm) -> None:
+    """Every ``sig`` id of a reloaded trace decodes to the recording
+    VM's signature tuple."""
+    for chunk in trace.iter_chunks():
+        assert chunk.sigs is not vm.sigs  # read back from the file
+        for sig in np.unique(chunk.rows[:, COL_SIG]).tolist():
+            assert chunk.sigs.values[sig] == vm.sigs.values[sig]
 
 
 def rechunk(trace, size: int):
@@ -90,6 +102,31 @@ class TestPackedFormat:
         restored = StringTable.from_array(table.to_array())
         assert restored.values == table.values
 
+    @pytest.mark.parametrize("core", ["serial", "vectorized"])
+    def test_unknown_signature_id_raises(self, core):
+        chunk = make_chunk([
+            [K_WRITE, 64, 3, "x", 0, 0, 0, 0, 0],
+            [K_READ, 64, 4, "x", 1, 0, 1, 5, 0],
+        ])
+        profiler = (SerialProfiler(PerfectShadow()) if core == "serial"
+                    else VectorizedProfiler(batch_events=0))
+        with pytest.raises(IndexError):
+            profiler.process_chunk(chunk)
+
+    @pytest.mark.parametrize("core", ["serial", "vectorized"])
+    def test_second_signature_table_is_rejected(self, recorded, core):
+        trace = recorded[TEXTBOOK][0]
+        profiler = (SerialProfiler(PerfectShadow()) if core == "serial"
+                    else VectorizedProfiler())
+        first = trace.chunks[0]
+        profiler.process_chunk(first)
+        # an equal copy is still another table: the ids are bound to the first
+        other = SignatureTable(list(first.sigs.values))
+        with pytest.raises(ValueError, match="one signature table"):
+            profiler.process_chunk(
+                EventChunk(first.rows, first.strings, other)
+            )
+
 
 class TestSinkAccounting:
     def test_n_events_single_source_of_truth(self, recorded):
@@ -104,9 +141,9 @@ class TestSinkAccounting:
         assert trace.nbytes == trace.n_events * EVENT_NBYTES
 
 
-def profile_trace(chunks, vm, shadow=None):
+def profile_trace(chunks, shadow=None):
     profiler = SerialProfiler(
-        shadow if shadow is not None else PerfectShadow(), vm.loop_signature
+        shadow if shadow is not None else PerfectShadow()
     )
     for chunk in chunks:
         profiler.process_chunk(chunk)
@@ -120,8 +157,8 @@ class TestSerialEquivalence:
     @pytest.mark.parametrize("name", [TEXTBOOK, NAS])
     def test_dependence_store_bit_identical(self, recorded, name):
         trace, vm = recorded[name]
-        whole = profile_trace(trace.chunks, vm)
-        small = profile_trace(rechunk(trace, SMALL_CHUNK), vm)
+        whole = profile_trace(trace.chunks)
+        small = profile_trace(rechunk(trace, SMALL_CHUNK))
         assert whole.store.to_dict() == small.store.to_dict()
         assert {k: r.to_dict() for k, r in whole.control.items()} == {
             k: r.to_dict() for k, r in small.control.items()
@@ -136,8 +173,8 @@ class TestSerialEquivalence:
         trace, vm = recorded[name]
         s_whole = SignatureShadow(251)
         s_small = SignatureShadow(251)
-        whole = profile_trace(trace.chunks, vm, shadow=s_whole)
-        small = profile_trace(rechunk(trace, SMALL_CHUNK), vm, shadow=s_small)
+        whole = profile_trace(trace.chunks, shadow=s_whole)
+        small = profile_trace(rechunk(trace, SMALL_CHUNK), shadow=s_small)
         assert whole.store.to_dict() == small.store.to_dict()
         assert s_whole.collisions == s_small.collisions
         assert s_whole.collisions > 0  # 251 slots must alias something
@@ -181,8 +218,8 @@ class TestSerialEquivalence:
         """
         module = compile_source(src)
         trace, vm = record(module, "main", quantum=8)
-        whole = profile_trace(trace.chunks, vm)
-        small = profile_trace(rechunk(trace, SMALL_CHUNK), vm)
+        whole = profile_trace(trace.chunks)
+        small = profile_trace(rechunk(trace, SMALL_CHUNK))
         assert whole.store.to_dict() == small.store.to_dict()
         assert {d.sink_tid for d in whole.store} > {0}
 
@@ -193,7 +230,7 @@ class TestSkippingAndPET:
         skippers = []
         for chunks in (trace.chunks, rechunk(trace, SMALL_CHUNK)):
             skipper = SkippingProfiler(
-                SerialProfiler(PerfectShadow(), vm.loop_signature)
+                SerialProfiler(PerfectShadow())
             )
             for chunk in chunks:
                 skipper.process_chunk(chunk)
@@ -202,9 +239,7 @@ class TestSkippingAndPET:
         assert whole.store.to_dict() == small.store.to_dict()
         assert whole.stats.skipped == small.stats.skipped > 0
         # skipping only drops repeat occurrences, never a dependence
-        assert whole.store.keys() == profile_trace(
-            trace.chunks, vm
-        ).store.keys()
+        assert whole.store.keys() == profile_trace(trace.chunks).store.keys()
 
     def test_pet_tree_identical(self, recorded):
         for name, (trace, _) in recorded.items():
@@ -262,7 +297,7 @@ class TestSpillingTraceSink:
     def test_save_and_load_roundtrip(self, tmp_path):
         workload = get_workload(TEXTBOOK)
         module = workload.compile(1)
-        trace, _ = record(module, workload.entry)
+        trace, vm = record(module, workload.entry)
         path = tmp_path / "trace.npz"
         save_trace(trace, str(path))
         restored = load_trace(str(path))
@@ -270,6 +305,8 @@ class TestSpillingTraceSink:
         assert restored.chunks[0].strings.values == (
             trace.chunks[0].strings.values
         )
+        assert restored.chunks[0].sigs.values == vm.sigs.values
+        assert_sigs_decode(restored, vm)
 
     def test_raw_npy_spill_roundtrip(self, tmp_path):
         """compress=False spills raw mmap-loadable .npy segments."""
@@ -293,6 +330,7 @@ class TestSpillingTraceSink:
         spilling.save(str(path))
         restored = load_trace(str(path))
         assert np.array_equal(rows_of(restored), rows_of(full))
+        assert_sigs_decode(restored, vm)
         spilling.close()
         assert not any(
             f.startswith("segment-") for f in os.listdir(tmp_path)
@@ -371,17 +409,10 @@ class TestEngineIntegration:
 
 
 class TestBackendRegistry:
-    def source_and_decoder(self):
-        workload = get_workload(TEXTBOOK)
-        module = workload.compile(1)
-        return workload, module
-
     def run_backend(self, name, **options):
-        workload, module = self.source_and_decoder()
+        workload = get_workload(TEXTBOOK)
         backend = make_backend(name, **options)
-        vm = VM(module, backend)
-        backend.sig_decoder = vm.loop_signature
-        vm.run(workload.entry)
+        VM(workload.compile(1), backend).run(workload.entry)
         return backend.finish()
 
     def test_serial_and_parallel_agree(self):

@@ -231,7 +231,6 @@ int main() {
         module = compile_source(src)
         prof_off = SerialProfiler(PerfectShadow(), lifetime_analysis=False)
         vm = VM(module, prof_off)
-        prof_off.sig_decoder = vm.loop_signature
         vm.run()
         assert cross_call_deps(prof_off)
 

@@ -123,7 +123,6 @@ class TestQueues:
 def _serial_keys(module):
     prof = SerialProfiler(PerfectShadow())
     vm = VM(module, prof)
-    prof.sig_decoder = vm.loop_signature
     vm.run()
     return prof.store.keys()
 
@@ -141,7 +140,6 @@ class TestParallelProfiler:
         baseline = _serial_keys(module)
         par = ParallelProfiler(4, mode=mode, queue_kind=queue_kind)
         vm = VM(module, par)
-        par.sig_decoder = vm.loop_signature
         vm.run()
         merged = par.finish()
         assert merged.keys() == baseline
@@ -150,7 +148,6 @@ class TestParallelProfiler:
         module = get_workload("rgbyuv").compile(scale=1)
         par = ParallelProfiler(8, mode="simulated")
         vm = VM(module, par)
-        par.sig_decoder = vm.loop_signature
         vm.run()
         par.finish()
         busy = [w for w in par.report.work_units if w > 0]
@@ -169,7 +166,6 @@ int main() {
         par = ParallelProfiler(4, mode="simulated", redistribute_every=2,
                                queue_capacity=64)
         vm = VM(module, par, chunk_size=128)
-        par.sig_decoder = vm.loop_signature
         vm.run()
         merged = par.finish()
         assert par.report.redistributions > 0
@@ -180,7 +176,6 @@ int main() {
         # vectorized workers carry the slot count directly
         par = ParallelProfiler(4, mode="simulated", signature_slots=1 << 14)
         vm = VM(module, par)
-        par.sig_decoder = vm.loop_signature
         vm.run()
         par.finish()
         assert all(w.signature_slots == 1 << 14 for w in par.workers)
@@ -189,7 +184,6 @@ int main() {
             4, mode="simulated", signature_slots=1 << 14, detect="loop"
         )
         vm = VM(module, par)
-        par.sig_decoder = vm.loop_signature
         vm.run()
         par.finish()
         assert all(
@@ -200,7 +194,6 @@ int main() {
         module = compile_source(fig27_source)
         par = ParallelProfiler(2, mode="simulated")
         vm = VM(module, par)
-        par.sig_decoder = vm.loop_signature
         vm.run()
         par.finish()
         loops = [c for c in par.control.values() if c.kind == "loop"]
@@ -212,7 +205,6 @@ int main() {
         module = get_workload("CG").compile(scale=1)
         par = ParallelProfiler(8, mode="simulated")
         vm = VM(module, par)
-        par.sig_decoder = vm.loop_signature
         vm.run()
         par.finish()
         native = 0.01
@@ -250,7 +242,6 @@ class TestMemoryAccounting:
         module = get_workload("histogram").compile(scale=1)
         par = ParallelProfiler(4, mode="simulated", redistribute_every=2)
         vm = VM(module, par)
-        par.sig_decoder = vm.loop_signature
         vm.run()
         worker_sum = sum(w.memory_bytes() for w in par.workers)
         # producer-side state exists after a run: control records and
@@ -278,7 +269,6 @@ class TestSkipping:
         baseline = _serial_keys(module)
         skipper = SkippingProfiler(SerialProfiler(PerfectShadow()))
         vm = VM(module, skipper)
-        skipper.sig_decoder = vm.loop_signature
         vm.run()
         assert skipper.store.keys() == baseline
         assert skipper.stats.skipped > 0
@@ -300,7 +290,6 @@ int main() {
         skipper = SkippingProfiler(SerialProfiler(PerfectShadow()))
         module = compile_source(src)
         vm = VM(module, skipper)
-        skipper.sig_decoder = vm.loop_signature
         vm.run()
         stats = skipper.stats
         # the steady state skips nearly everything
@@ -326,7 +315,6 @@ int main() {
         module = compile_source(src)
         with_special = SkippingProfiler(SerialProfiler(PerfectShadow()))
         vm = VM(module, with_special)
-        with_special.sig_decoder = vm.loop_signature
         vm.run()
         assert with_special.stats.pure_skips > 0
 
@@ -334,7 +322,6 @@ int main() {
             SerialProfiler(PerfectShadow()), enable_special_case=False
         )
         vm2 = VM(compile_source(src), without)
-        without.sig_decoder = vm2.loop_signature
         vm2.run()
         assert without.stats.pure_skips == 0
         assert without.store.keys() == with_special.store.keys()
@@ -343,7 +330,6 @@ int main() {
         module = get_workload("CG").compile(scale=1)
         skipper = SkippingProfiler(SerialProfiler(PerfectShadow()))
         vm = VM(module, skipper)
-        skipper.sig_decoder = vm.loop_signature
         vm.run()
         dist = skipper.stats.skip_distribution()
         assert abs(sum(dist.values()) - 100.0) < 1e-6
@@ -364,7 +350,6 @@ int main() {
         module = compile_source(src)
         skipper = SkippingProfiler(SerialProfiler(PerfectShadow()))
         vm = VM(module, skipper)
-        skipper.sig_decoder = vm.loop_signature
         vm.run()
         # accesses through a[i] cannot be skipped (addr changes); only the
         # scalar s/i bookkeeping gets skipped
@@ -419,7 +404,6 @@ class TestRaceModel:
         prof = SerialProfiler(PerfectShadow())
         deferred = DeferredSink(prof.process_chunk, window=6, seed=11)
         vm = VM(module, deferred, quantum=5)
-        prof.sig_decoder = vm.loop_signature
         vm.run()
         deferred.finish()
         return prof

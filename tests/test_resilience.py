@@ -53,10 +53,10 @@ WORKER_FAULTS = (
 )
 
 
-def supervised_profile(trace, vm, *, faults=None, policy=FAST_POLICY,
+def supervised_profile(trace, *, faults=None, policy=FAST_POLICY,
                        shards=2, metrics=None, **kwargs):
     det = ShardedDetector(
-        None, vm.loop_signature, n_shards=shards,
+        None, n_shards=shards,
         batch_events=BATCH, slab_rows=BATCH,
         policy=policy, faults=faults, **kwargs,
     )
@@ -214,9 +214,9 @@ class TestSupervisedRecovery:
     @pytest.mark.parametrize("kind", WORKER_FAULTS)
     def test_single_fault_store_identical(self, kind):
         trace, vm = record("matmul")
-        vec = vec_profile(trace, vm)
+        vec = vec_profile(trace)
         plan = FaultPlan([FaultEvent(kind=kind, shard=0, batch=1)])
-        det = supervised_profile(trace, vm, faults=plan)
+        det = supervised_profile(trace, faults=plan)
         assert state_of(det) == state_of(vec), kind
         if kind != "drop_slab_ack":  # a dropped ack may heal via restart
             assert det.recovery["shard_retries"] >= 1
@@ -227,11 +227,11 @@ class TestSupervisedRecovery:
     @pytest.mark.parametrize("name", ["matmul", "histogram", "md5-pthread"])
     def test_kill_recovery_across_workloads(self, name):
         trace, vm = record(name)
-        vec = vec_profile(trace, vm)
+        vec = vec_profile(trace)
         plan = FaultPlan([
             FaultEvent(kind="kill_worker", shard=0, batch=1),
         ])
-        det = supervised_profile(trace, vm, faults=plan)
+        det = supervised_profile(trace, faults=plan)
         assert state_of(det) == state_of(vec), name
         assert det.recovery["worker_deaths"] >= 1
         assert det.recovery["shard_retries"] >= 1
@@ -240,16 +240,14 @@ class TestSupervisedRecovery:
         from repro.obs.metrics import MetricsRegistry
 
         trace, vm = record("matmul")
-        vec = vec_profile(trace, vm)
+        vec = vec_profile(trace)
         plan = FaultPlan([
             FaultEvent(kind="kill_worker", batch=0, gen=gen)
             for gen in range(8)
         ])
         metrics = MetricsRegistry()
         with pytest.warns(RuntimeWarning, match="degrad"):
-            det = supervised_profile(
-                trace, vm, faults=plan, metrics=metrics,
-            )
+            det = supervised_profile(trace, faults=plan, metrics=metrics)
         assert state_of(det) == state_of(vec)
         assert det.recovery["degraded"] == 1
         assert metrics.get("resilience.degraded").value == 1
@@ -263,7 +261,7 @@ class TestSupervisedRecovery:
         # shortened wait only spares the test the production patience
         legacy = RetryPolicy.disabled(done_timeout=5.0, join_timeout=1.0)
         with pytest.raises(ShardedDetectionError):
-            supervised_profile(trace, vm, faults=plan, policy=legacy)
+            supervised_profile(trace, faults=plan, policy=legacy)
 
 
 class TestAbortCleanliness:
@@ -279,7 +277,7 @@ class TestAbortCleanliness:
             FaultEvent(kind="kill_worker", shard=0, batch=1),
         ])
         det = ShardedDetector(
-            None, vm.loop_signature, n_shards=2,
+            None, n_shards=2,
             batch_events=BATCH, slab_rows=BATCH,
             policy=FAST_POLICY, faults=plan,
         )
@@ -415,6 +413,95 @@ class TestResumableBatch:
         assert fresh.vm_runs == 0 and fresh.timings == {}
         result = fresh.run()
         assert result.suggestions == engine.run().suggestions
+
+    #: profile stats that measure the run instead of the program
+    WALL_CLOCK_STATS = ("detect_seconds", "detect_events_per_sec",
+                        "vm_wall_seconds", "vm_events_per_sec")
+
+    def _analysis(self, result) -> dict:
+        """A result's JSON form without its wall-clock measurements."""
+        data = result.to_dict()
+        del data["timings"], data["timing_detail"]
+        for key in self.WALL_CLOCK_STATS:
+            del data["profile_stats"][key]
+        return data
+
+    def test_restored_profile_matches_fresh_run_on_real_loops(self, tmp_path):
+        # six task containers, each re-walking the restored trace and
+        # classifying carried dependences through its signature table
+        from repro.engine import config_for_job
+
+        config = config_for_job(job_for_workload("facedetection"))
+        engine = DiscoveryEngine(config=config)
+        engine.build_cus()
+        checkpoint = JobCheckpoint(str(tmp_path), config)
+        assert checkpoint.save_phases(engine) == ["profile", "cus"]
+        fresh = DiscoveryEngine(config=config)
+        assert checkpoint.restore(fresh) == ["profile", "cus"]
+        restored = fresh.run()
+        assert fresh.vm_runs == 0
+        assert len(restored.functions) + len(restored.loop_tasks) == 6
+        assert self._analysis(restored) == self._analysis(engine.run())
+
+    def test_trace_without_signature_table_recomputes(self, tmp_path):
+        import numpy as np
+
+        from repro.engine import config_for_job
+
+        config = config_for_job(job_for_workload("fib"))
+        engine = DiscoveryEngine(config=config)
+        engine.build_cus()
+        checkpoint = JobCheckpoint(str(tmp_path), config)
+        checkpoint.save_phases(engine)
+        trace = engine.profile().trace
+
+        def without_sig_table(tmp: str) -> None:
+            # the trace.npz layout from before traces carried the table
+            arrays = {
+                f"rows_{i:06d}": chunk.rows
+                for i, chunk in enumerate(trace.iter_chunks())
+            }
+            arrays["strings"] = trace.chunks[0].strings.to_array()
+            with open(tmp, "wb") as handle:
+                np.savez_compressed(handle, **arrays)
+
+        checkpoint.store.put_file(
+            checkpoint.key, "trace.npz", without_sig_table
+        )
+        fresh = DiscoveryEngine(config=config)
+        assert checkpoint.restore(fresh) == []
+        # an intact file of the old layout, not a quarantined one
+        assert not glob.glob(os.path.join(checkpoint.dir, ".corrupt-*"))
+        assert self._analysis(fresh.run()) == self._analysis(engine.run())
+        assert fresh.vm_runs == 1
+
+    def test_malformed_signature_table_is_not_masked(self, tmp_path):
+        import numpy as np
+
+        from repro.engine import config_for_job
+
+        config = config_for_job(job_for_workload("fib"))
+        engine = DiscoveryEngine(config=config)
+        engine.profile()
+        checkpoint = JobCheckpoint(str(tmp_path), config)
+        checkpoint.save_phases(engine)
+        trace = engine.profile().trace
+
+        def slot0_not_root(tmp: str) -> None:
+            # checksum-valid, but the table's slot 0 is not the root ()
+            arrays = {
+                f"rows_{i:06d}": chunk.rows
+                for i, chunk in enumerate(trace.iter_chunks())
+            }
+            arrays["strings"] = trace.chunks[0].strings.to_array()
+            arrays["sig_lengths"] = np.array([1], dtype=np.int64)
+            arrays["sig_pairs"] = np.array([[0, 0]], dtype=np.int64)
+            with open(tmp, "wb") as handle:
+                np.savez_compressed(handle, **arrays)
+
+        checkpoint.store.put_file(checkpoint.key, "trace.npz", slot0_not_root)
+        with pytest.raises(ValueError, match="slot 0"):
+            checkpoint.restore(DiscoveryEngine(config=config))
 
     def test_adopt_rejects_non_prefix(self):
         config = DiscoveryConfig(source="int main() { return 0; }")

@@ -298,7 +298,7 @@ class TestEvents:
         sigs = {
             sig
             for sig in _memory(trace)[:, COL_SIG].tolist()
-            if vm.loop_signature(sig)  # inside the loop
+            if vm.sigs.values[sig]  # inside the loop
         }
         # one context per iteration plus the final header check that exits
         assert len(sigs) == 11

@@ -52,10 +52,10 @@ from tests.test_detect import (
 )
 
 
-def sharded_profile(trace, vm, *, shards=2, sampling=None, slots=None,
+def sharded_profile(trace, *, shards=2, sampling=None, slots=None,
                     **kwargs):
     det = ShardedDetector(
-        slots, vm.loop_signature, n_shards=shards, sampling=sampling,
+        slots, n_shards=shards, sampling=sampling,
         **kwargs,
     )
     try:
@@ -81,16 +81,16 @@ class TestShardedExactness:
     @pytest.mark.parametrize("name", ALL_WORKLOADS)
     def test_bit_identical_to_vectorized(self, name):
         trace, vm = record(name)
-        vec = vec_profile(trace, vm)
-        det = sharded_profile(trace, vm, shards=2)
+        vec = vec_profile(trace)
+        det = sharded_profile(trace, shards=2)
         assert state_of(det) == state_of(vec), name
 
     @pytest.mark.parametrize("shards", [1, 3, 4])
     @pytest.mark.parametrize("name", BOUNDARY_WORKLOADS)
     def test_shard_counts_and_frontier(self, name, shards):
         trace, vm = record(name)
-        vec = vec_profile(trace, vm)
-        det = sharded_profile(trace, vm, shards=shards)
+        vec = vec_profile(trace)
+        det = sharded_profile(trace, shards=shards)
         assert state_of(det) == state_of(vec), (name, shards)
         # the merged cross-shard frontier carries the same entries as
         # the serial one (read-set order within a key is batch-layout
@@ -101,8 +101,8 @@ class TestShardedExactness:
 
     def test_signature_slots_pass_through(self):
         trace, vm = record("histogram")
-        vec = vec_profile(trace, vm, slots=1 << 12)
-        det = sharded_profile(trace, vm, shards=2, slots=1 << 12)
+        vec = vec_profile(trace, slots=1 << 12)
+        det = sharded_profile(trace, shards=2, slots=1 << 12)
         assert state_of(det) == state_of(vec)
 
     def test_rejects_zero_shards(self):
@@ -111,7 +111,7 @@ class TestShardedExactness:
 
     def test_worker_error_surfaces_with_traceback(self):
         trace, vm = record("histogram")
-        det = ShardedDetector(None, vm.loop_signature, n_shards=2)
+        det = ShardedDetector(None, n_shards=2)
         try:
             det.process_chunk(trace.chunks[0])
             # rows referencing a name id the parent never interned make
@@ -123,7 +123,8 @@ class TestShardedExactness:
             rows[:, COL_LINE] = 3
             rows[:, COL_NAME] = 500_000
             rows[:, COL_TS] = (10, 11)
-            det.process_chunk(EventChunk(rows, trace.chunks[0].strings))
+            first = trace.chunks[0]
+            det.process_chunk(EventChunk(rows, first.strings, first.sigs))
             with pytest.raises(ShardedDetectionError):
                 det.finalize()
         finally:
@@ -138,10 +139,10 @@ class TestMergeAssociativity:
     def test_in_process_shard_merge(self, chunk_size, shards):
         for name in BOUNDARY_WORKLOADS:
             trace, vm = record(name, chunk_size=chunk_size)
-            ref = vec_profile(trace, vm)
+            ref = vec_profile(trace)
             workers = [
                 VectorizedProfiler(
-                    None, vm.loop_signature, track_control=False
+                    None, track_control=False
                 )
                 for _ in range(shards)
             ]
@@ -149,7 +150,7 @@ class TestMergeAssociativity:
                 for s, part in enumerate(split_rows(chunk.rows, shards)):
                     if part.shape[0]:
                         workers[s].process_chunk(
-                            EventChunk(part, chunk.strings)
+                            EventChunk(part, chunk.strings, chunk.sigs)
                         )
             for w in workers:
                 w.flush()
@@ -182,7 +183,7 @@ class TestSampling:
     def test_deterministic(self):
         trace, vm = record("histogram")
         runs = [
-            sharded_profile(trace, vm, shards=2, sampling=0.25)
+            sharded_profile(trace, shards=2, sampling=0.25)
             for _ in range(2)
         ]
         assert runs[0].store.to_dict() == runs[1].store.to_dict()
@@ -193,8 +194,8 @@ class TestSampling:
     @pytest.mark.parametrize("name", BOUNDARY_WORKLOADS)
     def test_accuracy_floor(self, name):
         trace, vm = record(name)
-        exact = vec_profile(trace, vm)
-        det = sharded_profile(trace, vm, shards=2, sampling=0.25)
+        exact = vec_profile(trace)
+        det = sharded_profile(trace, shards=2, sampling=0.25)
         acc = store_accuracy(det.store, exact.store)
         assert acc["precision"] >= 0.95, (name, acc)
         assert acc["recall"] >= 0.95, (name, acc)
@@ -202,11 +203,11 @@ class TestSampling:
 
     def test_writes_always_ship(self):
         trace, vm = record("matmul")
-        det = sharded_profile(trace, vm, shards=2, sampling=0.01)
+        det = sharded_profile(trace, shards=2, sampling=0.01)
         # stats count what the producer saw; every write must have
         # shipped even at a 1% rate (only repeat reads are sampled)
         assert det.stats.writes > 0
-        exact = vec_profile(trace, vm)
+        exact = vec_profile(trace)
         assert store_accuracy(det.store, exact.store)["precision"] == 1.0
 
 
@@ -274,10 +275,10 @@ class TestSpilledSegments:
         resident = TraceSink()
         vm_ref = VM(module, resident, chunk_size=256)
         vm_ref.run(workload.entry)
-        ref = vec_profile(resident, vm_ref)
+        ref = vec_profile(resident)
 
         sink, vm = self._spill(tmp_path, compress)
-        det = ShardedDetector(None, vm.loop_signature, n_shards=2)
+        det = ShardedDetector(None, n_shards=2)
         try:
             detect_spilled_trace(sink, det)
             det.finalize()
@@ -290,7 +291,7 @@ class TestSpilledSegments:
     def test_spilled_sampling_routes_through_slabs(self, tmp_path):
         sink, vm = self._spill(tmp_path, False)
         det = ShardedDetector(
-            None, vm.loop_signature, n_shards=2, sampling=0.5
+            None, n_shards=2, sampling=0.5
         )
         try:
             detect_spilled_trace(sink, det)
@@ -308,7 +309,7 @@ class TestSpilledSegments:
 class TestMemoryAccounting:
     def test_memory_bytes_covers_workers_and_sampler(self):
         trace, vm = record("histogram")
-        det = sharded_profile(trace, vm, shards=2, sampling=0.5)
+        det = sharded_profile(trace, shards=2, sampling=0.5)
         assert det.worker_memory_bytes > 0
         assert det.memory_bytes() >= (
             det.worker_memory_bytes + det.sampler._guard.nbytes

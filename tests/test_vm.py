@@ -44,8 +44,8 @@ def _run(module, entry, dispatch, *, instrument=True, **vm_kwargs):
     return result, trace, vm
 
 
-def _store_of(trace, vm):
-    profiler = SerialProfiler(PerfectShadow(), vm.loop_signature)
+def _store_of(trace):
+    profiler = SerialProfiler(PerfectShadow())
     for chunk in trace.chunks:
         profiler.process_chunk(chunk)
     return profiler.store.to_dict()
@@ -90,14 +90,13 @@ class TestGoldenTraceEquivalence:
         rows_c = np.concatenate([c.rows for c in t_c_traced.chunks])
         assert np.array_equal(rows_sw, rows_c)
         assert vm_sw_traced.strings.values == vm_c_traced.strings.values
+        assert vm_sw_traced.sigs.values == vm_c_traced.sigs.values
         assert [len(c) for c in t_sw_traced.chunks] == [
             len(c) for c in t_c_traced.chunks
         ]
 
         # dependence stores built from both traced runs are equal
-        assert _store_of(t_sw_traced, vm_sw_traced) == _store_of(
-            t_c_traced, vm_c_traced
-        )
+        assert _store_of(t_sw_traced) == _store_of(t_c_traced)
 
     @pytest.mark.parametrize("quantum", [3, 17, 64])
     def test_threaded_small_quanta(self, quantum):
@@ -229,15 +228,15 @@ int main() {
 """
 
     @pytest.mark.parametrize("dispatch", ["compiled", "switch"])
-    def test_untraced_run_mints_no_loop_signatures(self, dispatch):
+    def test_untraced_run_mints_no_signatures(self, dispatch):
         module = compile_source(self.NEST)
         r_u, _, untraced = _run(module, "main", dispatch, instrument=False)
         r_t, _, traced = _run(module, "main", dispatch)
         assert r_u == r_t == 14
         # only the root (empty) signature: loop contexts exist for the
         # trace alone
-        assert untraced._sig_list == [()]
-        assert len(traced._sig_list) > 8 * 8
+        assert untraced.sigs.values == [()]
+        assert len(traced.sigs) > 8 * 8
 
     @pytest.mark.parametrize("dispatch", ["compiled", "switch"])
     def test_untraced_iter_without_enter_still_fails(self, dispatch):

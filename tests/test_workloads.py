@@ -4,8 +4,8 @@ with the headline claims (Table 4.1 / 4.6 shapes)."""
 
 import pytest
 
-from repro.discovery import discover, discover_source
 from repro.discovery.loops import LoopClass
+from repro.engine import DiscoveryConfig, DiscoveryEngine
 from repro.runtime.interpreter import VM
 from repro.workloads import REGISTRY, get_workload, workloads_in_suite
 from repro.workloads.nas import NAS_NAMES
@@ -56,7 +56,9 @@ def test_detection_agrees_with_clear_truth(name):
     tool also surfaces as "additional suggestions"); plain DOALL on a
     SEQ-marked loop would be a genuine false positive."""
     w = get_workload(name)
-    res = discover(w.compile(scale=1), entry=w.entry)
+    res = DiscoveryEngine(
+        w.compile(scale=1), DiscoveryConfig(entry=w.entry)
+    ).run()
     truth = w.ground_truth(1)
     for info in res.loops:
         if info.start_line not in truth:
@@ -83,7 +85,7 @@ def test_nas_recall_matches_paper_band():
     missed = []
     for name in NAS_NAMES:
         w = get_workload(name)
-        res = discover_source(w.source(1))
+        res = DiscoveryEngine.from_source(w.source(1)).run()
         truth = w.ground_truth(1)
         detected = {l.start_line: l.is_parallelizable for l in res.loops}
         for line, is_par in truth.items():
@@ -105,7 +107,7 @@ def test_no_false_positives_on_sequential_loops():
     extra opportunities the reference chose (granularity) not to exploit."""
     for name in NAS_NAMES:
         w = get_workload(name)
-        res = discover_source(w.source(1))
+        res = DiscoveryEngine.from_source(w.source(1)).run()
         truth = w.ground_truth(1)
         for info in res.loops:
             if truth.get(info.start_line) is False:
@@ -124,7 +126,7 @@ def test_no_false_positives_on_sequential_loops():
 def test_bots_task_decisions(name, expected):
     """Table 4.6 shape: correct task decisions on BOTS hot functions."""
     w = get_workload(name)
-    res = discover_source(w.source(1))
+    res = DiscoveryEngine.from_source(w.source(1)).run()
     hot = [fn for fn, ok in w.task_truth.items()][0]
     groups = res.functions[hot].spmd_groups
     recursive = [g for g in groups if g.callee == hot] or groups
@@ -140,7 +142,6 @@ def test_threaded_workloads_profile_cleanly():
         module = w.compile(1)
         prof = SerialProfiler(PerfectShadow())
         vm = VM(module, prof, quantum=16)
-        prof.sig_decoder = vm.loop_signature
         vm.run()
         tids = {d.sink_tid for d in prof.store}
         assert len(vm.threads) == 5
