@@ -1,11 +1,11 @@
-"""Deterministic synthetic event streams for detection-scale benchmarks.
+"""Deterministic synthetic event streams for the detect-scale suite.
 
 A 10⁸-event input recorded through the VM would cost minutes of
 interpreter time per bench rep; the detection layers only see packed
-int64 rows, so the scale leg of ``BENCH_detect`` drives them with a
-generator that materializes one chunk at a time — peak memory stays a
-single chunk plus detector state no matter the trace length, which is
-exactly the out-of-core property the bench gates on.
+int64 rows, so the detect-scale suite drives them with a generator
+that materializes one chunk at a time — peak memory stays a single
+chunk plus detector state no matter the trace length, which is
+exactly the out-of-core property the suite records.
 
 The stream models one hot loop with a realistic dependence mix:
 

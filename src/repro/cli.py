@@ -15,10 +15,6 @@ The unified ``repro`` command drives the staged engine::
     repro trace    --workload matmul -o matmul.trace.json  # Perfetto timeline
     repro stats    --workload matmul  # metrics-registry snapshot table
     repro discover file.mc --obs trace --trace-out out.json
-    repro bench    --suite vm --quick # compiled vs switch dispatch cores
-    repro bench    --suite detect     # vectorized vs loop detection cores
-    repro bench    --suite obs --quick # observability disabled-cost gate
-    repro bench    --suite store --quick # artifact-store torture gates
     repro batch    fib sort --resume ckpt/   # checkpointing, crash-safe
     repro store    stats ckpt/        # per-key size / last-access / locks
     repro store    verify ckpt/ --heal  # sha256 audit, quarantine corrupt
@@ -30,6 +26,10 @@ the artifact; ``repro report --load`` / ``repro discover --load`` reload a
 saved artifact instead of re-executing the program.  ``--obs`` only
 observes: it never changes which detection core runs or whether the
 validate phase runs (``repro trace`` picks its own defaults).
+
+The benchmark suites of the VM, detection, observability, fault and
+store layers live outside the package:
+``PYTHONPATH=src:. python -m benchmarks.suites SUITE [--quick]``.
 """
 
 from __future__ import annotations
@@ -465,315 +465,6 @@ def cmd_parallelize(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    if args.suite == "vm":
-        return _bench_vm(args)
-    if args.suite == "detect":
-        return _bench_detect(args)
-    if args.suite == "obs":
-        return _bench_obs(args)
-    if args.suite == "faults":
-        return _bench_faults(args)
-    return _bench_store(args)
-
-
-def _bench_vm(args) -> int:
-    """``repro bench --suite vm``: compiled vs switch dispatch cores."""
-    from repro.engine.bench import format_vm_table, run_vm_bench
-
-    result = run_vm_bench(
-        args.workloads or None,
-        scale=args.scale,
-        reps=args.reps,
-        quick=args.quick,
-        chunk_size=args.chunk_size,
-    )
-    if args.format == "json":
-        print(json.dumps(result, indent=1))
-    else:
-        print(format_vm_table(result))
-    with open(args.save, "w") as handle:
-        json.dump(result, handle, indent=1)
-    print(f"; saved vm bench -> {args.save}", file=sys.stderr)
-    if not result["all_traces_identical"]:
-        print(
-            "; FAIL: compiled and switch traces/states differ",
-            file=sys.stderr,
-        )
-        return 1
-    if not result["all_stores_identical"]:
-        print(
-            "; FAIL: compiled and switch dependence stores differ",
-            file=sys.stderr,
-        )
-        return 1
-    if args.min_ratio and result["traced_speedup_geomean"] < args.min_ratio:
-        print(
-            f"; FAIL: compiled/switch traced geomean "
-            f"{result['traced_speedup_geomean']:.2f} "
-            f"below required {args.min_ratio:.2f}",
-            file=sys.stderr,
-        )
-        return 1
-    if (
-        args.min_profile_ratio
-        and result["profile_speedup_geomean"] < args.min_profile_ratio
-    ):
-        print(
-            f"; FAIL: end-to-end profile geomean "
-            f"{result['profile_speedup_geomean']:.2f} "
-            f"below required {args.min_profile_ratio:.2f}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _bench_detect(args) -> int:
-    """``repro bench --suite detect``: loop vs vectorized vs sharded."""
-    from repro.engine.bench import (
-        format_detect_table,
-        run_detect_bench,
-        run_detect_scale_bench,
-    )
-
-    sampling = args.detect_sampling
-    if sampling is not None and sampling <= 0:
-        sampling = None
-    result = run_detect_bench(
-        args.workloads or None,
-        scale=args.scale,
-        reps=args.reps,
-        quick=args.quick,
-        chunk_size=args.chunk_size,
-        sharded_workers=args.detect_workers,
-        sampling=sampling,
-    )
-    if args.scale_events:
-        result["scale"] = run_detect_scale_bench(
-            n_events=args.scale_events,
-            workers=max(args.detect_workers, 2),
-            sampling=sampling or 0.25,
-            quick=args.quick,
-        )
-    if args.format == "json":
-        print(json.dumps(result, indent=1))
-    else:
-        print(format_detect_table(result))
-    with open(args.save, "w") as handle:
-        json.dump(result, handle, indent=1)
-    print(f"; saved detect bench -> {args.save}", file=sys.stderr)
-    if not result["all_stores_identical"]:
-        sweep = result.get("equivalence_sweep") or {}
-        bad = ", ".join(sweep.get("mismatches", [])) or "bench rows"
-        print(
-            f"; FAIL: loop and vectorized stores differ ({bad})",
-            file=sys.stderr,
-        )
-        return 1
-    if args.min_ratio and result["detect_speedup_geomean"] < args.min_ratio:
-        print(
-            f"; FAIL: vectorized/loop detection geomean "
-            f"{result['detect_speedup_geomean']:.2f} "
-            f"below required {args.min_ratio:.2f}",
-            file=sys.stderr,
-        )
-        return 1
-    if (
-        args.min_profile_ratio
-        and result["profile_speedup_geomean"] < args.min_profile_ratio
-    ):
-        print(
-            f"; FAIL: end-to-end profile geomean "
-            f"{result['profile_speedup_geomean']:.2f} "
-            f"below required {args.min_profile_ratio:.2f}",
-            file=sys.stderr,
-        )
-        return 1
-    if getattr(args, "detect", None) == "sharded":
-        if not result.get("sharded_all_identical", False):
-            print(
-                "; FAIL: sharded detection stores differ from vectorized",
-                file=sys.stderr,
-            )
-            return 1
-        scale = result.get("scale")
-        if scale is not None:
-            if not scale.get("store_identical", False):
-                print(
-                    "; FAIL: scale-leg sharded store differs "
-                    "from vectorized",
-                    file=sys.stderr,
-                )
-                return 1
-            gate = scale.get("speedup_gate") or {}
-            if gate.get("enforced") and not gate.get("passed"):
-                print(
-                    f"; FAIL: sharded scale speedup "
-                    f"{gate.get('measured', 0.0):.2f}x below required "
-                    f"{gate.get('required', 0.0):.2f}x "
-                    f"({gate.get('cpus')} cpus)",
-                    file=sys.stderr,
-                )
-                return 1
-    if args.min_sampling_accuracy and sampling is not None:
-        prec = result.get("sampling_precision_min", 0.0)
-        rec = result.get("sampling_recall_min", 0.0)
-        if min(prec, rec) < args.min_sampling_accuracy:
-            print(
-                f"; FAIL: sampled detection accuracy precision "
-                f"{prec:.3f} / recall {rec:.3f} below required "
-                f"{args.min_sampling_accuracy:.2f} "
-                f"(rate {sampling})",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
-
-
-def _bench_obs(args) -> int:
-    """``repro bench --suite obs``: the disabled-overhead gate.
-
-    Measures the pipeline with obs off / metrics / trace, verifies the
-    dependence stores stay bit-identical across modes, and bounds the
-    *disabled* cost: per-site guard cost x observed site activations,
-    as a percentage of the obs-off wall time.
-    """
-    from repro.engine.bench import format_obs_table, run_obs_bench
-
-    result = run_obs_bench(
-        args.workloads or None,
-        scale=args.scale,
-        reps=args.reps,
-        quick=args.quick,
-        chunk_size=args.chunk_size,
-    )
-    if args.format == "json":
-        print(json.dumps(result, indent=1))
-    else:
-        print(format_obs_table(result))
-    with open(args.save, "w") as handle:
-        json.dump(result, handle, indent=1)
-    print(f"; saved obs bench -> {args.save}", file=sys.stderr)
-    if not result["all_stores_identical"]:
-        print(
-            "; FAIL: obs-on and obs-off dependence stores differ",
-            file=sys.stderr,
-        )
-        return 1
-    gate = args.max_disabled_overhead
-    if gate and result["disabled_overhead_pct_max"] > gate:
-        print(
-            f"; FAIL: worst-case disabled obs overhead "
-            f"{result['disabled_overhead_pct_max']:.3f}% above the "
-            f"{gate:.1f}% budget",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _bench_faults(args) -> int:
-    """``repro bench --suite faults``: the recovery-identity gate.
-
-    Every eventually-successful fault schedule must complete without
-    raising with a store bit-identical to the serial vectorized
-    reference, and the unrecoverable schedule must degrade (not fail) —
-    all three are hard gates, quick mode or not: a resilience layer
-    that sometimes loses dependences has no acceptable overhead.
-    """
-    from repro.engine.bench import format_faults_table, run_faults_bench
-
-    result = run_faults_bench(
-        scale=args.scale,
-        workers=args.detect_workers,
-        quick=args.quick,
-        seed=args.seed if getattr(args, "seed", None) is not None else 0,
-        chunk_size=args.chunk_size,
-    )
-    if args.format == "json":
-        print(json.dumps(result, indent=1))
-    else:
-        print(format_faults_table(result))
-    with open(args.save, "w") as handle:
-        json.dump(result, handle, indent=1)
-    print(f"; saved faults bench -> {args.save}", file=sys.stderr)
-    if not result["all_recovered"]:
-        print(
-            "; FAIL: a fault schedule escaped the supervisor and raised",
-            file=sys.stderr,
-        )
-        return 1
-    if not result["all_stores_identical"]:
-        print(
-            "; FAIL: a recovered store differs from the serial "
-            "vectorized reference",
-            file=sys.stderr,
-        )
-        return 1
-    if result["degraded_runs"] != 1:
-        print(
-            f"; FAIL: expected exactly the unrecoverable case to "
-            f"degrade, saw {result['degraded_runs']} degraded runs",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _bench_store(args) -> int:
-    """``repro bench --suite store``: the crash-safe store torture gates.
-
-    Every fault schedule (kill mid-write, torn tmp, stale lease,
-    checksum flip) must end — under ≥2 concurrent batch runners — with
-    a store bit-identical to the clean single-writer reference, all
-    rows ok, zero torn reads or leftover tmp files, the planted
-    corruptions healed through ``.corrupt-N/`` quarantine, and clean
-    concurrency deduping instead of double-computing.  All hard gates,
-    quick mode or not.
-    """
-    from repro.engine.bench import format_store_table, run_store_bench
-
-    result = run_store_bench(
-        quick=args.quick,
-        seed=args.seed if getattr(args, "seed", None) is not None else 0,
-    )
-    if args.format == "json":
-        print(json.dumps(result, indent=1))
-    else:
-        print(format_store_table(result))
-    with open(args.save, "w") as handle:
-        json.dump(result, handle, indent=1)
-    print(f"; saved store bench -> {args.save}", file=sys.stderr)
-    failures = []
-    if not result["reference_ok"]:
-        failures.append("the clean reference run itself failed")
-    if not result["all_stores_identical"]:
-        failures.append(
-            "a schedule's store differs from the single-writer reference"
-        )
-    if not result["all_rows_ok"]:
-        failures.append("a batch runner reported a failed row")
-    if not result["all_exits_ok"]:
-        failures.append("a writer exited abnormally (beyond planned kills)")
-    if result["torn_reads"] != 0:
-        failures.append(f"{result['torn_reads']} torn reads/leftover tmps")
-    if result["healed_corruptions"] < 2:
-        failures.append(
-            f"expected >=2 healed corruptions, saw "
-            f"{result['healed_corruptions']}"
-        )
-    if result["lock_steals"] < 1:
-        failures.append("the planted stale lease was never taken over")
-    if not result["computed_once"]:
-        failures.append("concurrent writers double-computed a key")
-    if result["min_concurrent_writers"] < 2:
-        failures.append("a schedule ran with fewer than 2 writers")
-    for reason in failures:
-        print(f"; FAIL: {reason}", file=sys.stderr)
-    return 1 if failures else 0
-
-
 def cmd_store(args) -> int:
     """``repro store stats|verify|gc DIR``: artifact-store maintenance."""
     from repro.store import ArtifactStore
@@ -1020,73 +711,6 @@ def main(argv=None) -> int:
     _add_output_options(p)
     p.set_defaults(func=cmd_parallelize)
 
-    p = sub.add_parser(
-        "bench",
-        help="performance and robustness benches (one --suite per run)",
-    )
-    p.add_argument("workloads", nargs="*",
-                   help="registry workloads (default: the suite's trio)")
-    p.add_argument("--suite",
-                   choices=("vm", "detect", "obs", "faults", "store"),
-                   required=True,
-                   help="vm: switch vs compiled dispatch; "
-                        "detect: loop vs vectorized detection cores; "
-                        "obs: observability overhead (disabled-cost gate); "
-                        "faults: deterministic fault matrix against the "
-                        "supervised sharded core (recovery + store "
-                        "identity gates); "
-                        "store: artifact-store torture — concurrent "
-                        "writers under kill/torn/lease/checksum faults "
-                        "(convergence + healing + zero-torn-read gates)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="faults suite: seed of the scattered schedules")
-    p.add_argument("--scale", type=int, default=None,
-                   help="workload scale (default: 1; detect suite: 2 — "
-                        "detection throughput is the scaling story)")
-    p.add_argument("--reps", type=int, default=3,
-                   help="repetitions per measurement (best-of)")
-    p.add_argument("--quick", action="store_true",
-                   help="CI smoke mode: fewer reps, enforce the ratio "
-                        "floors")
-    p.add_argument("--chunk-size", type=int, default=4096)
-    p.add_argument("--min-ratio", type=float, default=None,
-                   help="vm/detect suites: fail below this geomean "
-                        "(default with --quick: 2.0 vm compiled/switch, "
-                        "3.0 detect vectorized/loop; off otherwise)")
-    p.add_argument("--min-profile-ratio", type=float, default=None,
-                   help="vm/detect suites: fail if end-to-end profile "
-                        "geomean falls below this (default with "
-                        "--quick: 1.25 vm, 1.5 detect)")
-    p.add_argument("--detect", choices=("vectorized", "sharded"),
-                   default="vectorized",
-                   help="detect suite: 'sharded' additionally fails the "
-                        "run unless the multi-process core's stores are "
-                        "bit-identical (and the scale leg's speedup gate "
-                        "holds where enforced)")
-    p.add_argument("--detect-workers", type=int, default=2,
-                   help="detect suite: sharded-core worker processes")
-    p.add_argument("--detect-sampling", type=float, default=0.25,
-                   help="detect suite: sampling rate measured for the "
-                        "accuracy gate (0 disables the sampled pass)")
-    p.add_argument("--min-sampling-accuracy", type=float, default=None,
-                   help="detect suite: fail if measured sampled "
-                        "precision or recall falls below this "
-                        "(default with --quick: 0.95; off otherwise)")
-    p.add_argument("--scale-events", type=int, default=None,
-                   help="detect suite: also run the synthetic-stream "
-                        "scale leg with this many events "
-                        "(honors --quick's smoke floor)")
-    p.add_argument("--max-disabled-overhead", type=float, default=None,
-                   help="obs suite: fail if the estimated disabled-"
-                        "instrumentation cost exceeds this percentage of "
-                        "profile wall time (default with --quick: 2.0; "
-                        "off otherwise)")
-    p.add_argument("--save", metavar="PATH", default=None,
-                   help="write the JSON result here "
-                        "(default: BENCH_<suite>.json)")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_bench)
-
     p = sub.add_parser("report", help="profiling statistics + PET")
     p.add_argument("source", nargs="?",
                    help="source file (.py is Python, anything else MiniC)")
@@ -1143,25 +767,6 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_store)
 
     args = parser.parse_args(argv)
-    if args.command == "bench":
-        if args.scale is None:
-            from repro.engine.bench import DETECT_BENCH_SCALE
-
-            args.scale = (
-                DETECT_BENCH_SCALE if args.suite == "detect" else 1
-            )
-        if args.min_ratio is None:
-            floor = {"vm": 2.0, "detect": 3.0}.get(args.suite, 0.0)
-            args.min_ratio = floor if args.quick else 0.0
-        if args.min_profile_ratio is None:
-            floor = 1.5 if args.suite == "detect" else 1.25
-            args.min_profile_ratio = floor if args.quick else 0.0
-        if args.min_sampling_accuracy is None:
-            args.min_sampling_accuracy = 0.95 if args.quick else 0.0
-        if args.max_disabled_overhead is None:
-            args.max_disabled_overhead = 2.0 if args.quick else 0.0
-        if args.save is None:
-            args.save = f"BENCH_{args.suite}.json"
     return args.func(args)
 
 

@@ -10,16 +10,9 @@ region).  This module applies the paper's special rules on top:
 * the return value is the virtual variable ``ret`` in the write set;
 * loop iteration variables are local to the loop by default, global when
   the loop body also writes them.
-
-It also implements the EM-style refinement sketched in §3.2.1: start from
-the lexically-global variables, build CUs, restrict to *communicating*
-variables (those that actually cause inter-CU dependences), and iterate to
-a fixed point.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.mir.module import Module, Region
 
@@ -59,30 +52,3 @@ def read_write_sets(
             if func.return_type != "void":
                 writes.add(RET_VAR)
     return frozenset(reads), frozenset(writes)
-
-
-def communicating_vars_refinement(
-    module: Module,
-    region: Region,
-    build: Callable[[frozenset], object],
-    communicating_of: Callable[[object], frozenset],
-    max_iterations: int = 8,
-) -> tuple[frozenset, object]:
-    """EM-style refinement (§3.2.1): global vars are the initial guess of
-    the communicating variables; rebuild CUs until the set stabilises.
-
-    ``build(vars)`` constructs CUs from a candidate variable set;
-    ``communicating_of(result)`` extracts the variables that actually carry
-    inter-CU dependences.  Returns the fixed point.
-    """
-    candidate = effective_global_vars(module, region)
-    result = build(candidate)
-    for _ in range(max_iterations):
-        refined = frozenset(communicating_of(result)) & candidate
-        if refined == candidate:
-            break
-        if not refined:
-            break
-        candidate = refined
-        result = build(candidate)
-    return candidate, result

@@ -48,7 +48,7 @@ class DiscoveryConfig:
     #: VM random seed (convenience; folded into vm_kwargs)
     seed: Optional[int] = None
     #: profiler backend name (see :mod:`repro.profiler.backends`):
-    #: serial | signature | skipping | parallel | any registered name
+    #: serial | signature | skipping | parallel | any other BACKENDS key
     backend: str = "serial"
     #: extra backend constructor options (n_workers, queue_kind, ...)
     backend_options: dict = field(default_factory=dict)
@@ -124,7 +124,7 @@ class DiscoveryConfig:
         if self.detect != "vectorized":
             # non-default only, like the options above: the built-in
             # backends already default to the vectorized core, and a
-            # custom registered backend without a ``detect`` kwarg must
+            # custom BACKENDS entry without a ``detect`` kwarg must
             # keep working under a default config
             options.setdefault("detect", self.detect)
         if self.detect == "sharded":

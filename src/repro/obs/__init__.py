@@ -19,8 +19,9 @@ Depth is selected by ``DiscoveryConfig.obs``:
 ``"off"``
     Nothing is recorded.  Instrumentation sites guard on a single
     attribute (or on ``tracer is None``), so the pipeline takes the
-    pre-observability code path; ``repro bench --suite obs`` measures
-    the residual cost and CI gates it at ≤ 2 %.
+    pre-observability code path; the obs bench suite
+    (``python -m benchmarks.suites obs``) measures the residual cost
+    and gates it at ≤ 2 %.
 ``"metrics"``
     The metrics registry records; the tracer stays disabled.
 ``"trace"``

@@ -14,8 +14,9 @@ Design constraints, in order:
    attribute (``tracer.enabled`` — or ``tracer is None`` where no tracer
    was threaded at all), so the disabled pipeline takes the identical
    code path it took before the observability layer existed.
-   ``repro bench --suite obs`` measures the residual per-site cost and
-   CI gates it at ≤ 2 % of profile wall time.
+   The obs bench suite (``python -m benchmarks.suites obs``) measures
+   the residual per-site cost and gates it at ≤ 2 % of profile wall
+   time.
 2. **Bounded memory.**  Each lane is a ring buffer of
    ``capacity`` finished spans; overflow drops the *oldest* spans and
    counts them (``dropped``), never grows without bound, and never

@@ -18,7 +18,7 @@ Components:
 * :mod:`repro.profiler.races` — timestamp-inversion race flagging (§2.3.4).
 * :mod:`repro.profiler.pet` — the Program Execution Tree (§2.3.6).
 * :mod:`repro.profiler.reportfmt` — the NOM/BGN/END text format of Fig. 2.1.
-* :mod:`repro.profiler.backends` — the backend registry unifying the
+* :mod:`repro.profiler.backends` — the backend table unifying the
   serial/parallel × perfect/signature × skipping matrix behind one
   interface, selected via ``DiscoveryConfig.backend``.
 """
@@ -30,7 +30,6 @@ from repro.profiler.backends import (
     ProfilerBackend,
     SerialBackend,
     make_backend,
-    register_backend,
 )
 from repro.profiler.deps import (
     DepKey,
@@ -52,7 +51,6 @@ __all__ = [
     "ProfilerBackend",
     "SerialBackend",
     "make_backend",
-    "register_backend",
     "DepKey",
     "DepType",
     "Dependence",

@@ -1,12 +1,12 @@
-"""Pluggable profiler backends behind one registry.
+"""Profiler backends behind one name table.
 
 The profiler grew a matrix of execution strategies — serial vs. parallel
 consumption, perfect vs. signature shadow memory, §2.4 skipping on or off —
 that callers previously wired by hand (pick a shadow, wrap a skipping
 filter, remember which attribute carries the control records).
 :class:`ProfilerBackend` unifies them: a backend is a VM chunk sink with a
-``finish()`` that returns one :class:`BackendResult`, and the registry maps
-the names exposed by ``DiscoveryConfig.backend`` / ``repro discover
+``finish()`` that returns one :class:`BackendResult`, and :data:`BACKENDS`
+maps the names exposed by ``DiscoveryConfig.backend`` / ``repro discover
 --backend`` onto constructors.
 
 Built-in names:
@@ -22,12 +22,6 @@ Built-in names:
 ``parallel``
     the §2.3.3 producer/consumer profiler (``n_workers`` shards,
     vectorized ``addr % W`` partitioning on columnar chunks).
-
-Register custom backends with :func:`register_backend`::
-
-    @register_backend("tracing")
-    def _make(options):
-        return MyTracingBackend(**options)
 """
 
 from __future__ import annotations
@@ -346,44 +340,35 @@ class ParallelBackend:
         return self.profiler.memory_bytes()
 
 
-#: backend name -> factory(options dict) -> ProfilerBackend
-BACKENDS: dict[str, Callable[..., ProfilerBackend]] = {}
-
-
-def register_backend(name: str):
-    """Decorator registering a backend factory under ``name``."""
-
-    def register(factory: Callable[..., ProfilerBackend]):
-        BACKENDS[name] = factory
-        return factory
-
-    return register
-
-
-@register_backend("serial")
 def _serial(**options) -> SerialBackend:
     return SerialBackend(name="serial", **options)
 
 
-@register_backend("signature")
 def _signature(**options) -> SerialBackend:
     options.setdefault("signature_slots", DEFAULT_SIGNATURE_SLOTS)
     return SerialBackend(name="signature", **options)
 
 
-@register_backend("skipping")
 def _skipping(**options) -> SerialBackend:
     options["skip_loops"] = True
     return SerialBackend(name="skipping", **options)
 
 
-@register_backend("parallel")
 def _parallel(**options) -> ParallelBackend:
     return ParallelBackend(name="parallel", **options)
 
 
+#: backend name -> factory(options dict) -> ProfilerBackend
+BACKENDS: dict[str, Callable[..., ProfilerBackend]] = {
+    "serial": _serial,
+    "signature": _signature,
+    "skipping": _skipping,
+    "parallel": _parallel,
+}
+
+
 def make_backend(name: str, **options) -> ProfilerBackend:
-    """Instantiate a registered backend.
+    """Instantiate a backend by name.
 
     Unknown options are rejected by the backend constructor, keeping
     config typos loud.
@@ -392,6 +377,6 @@ def make_backend(name: str, **options) -> ProfilerBackend:
     if factory is None:
         raise ValueError(
             f"unknown profiler backend {name!r} "
-            f"(registered: {', '.join(sorted(BACKENDS))})"
+            f"(one of: {', '.join(sorted(BACKENDS))})"
         )
     return factory(**options)

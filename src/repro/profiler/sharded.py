@@ -51,8 +51,8 @@ deterministic hash-selected fraction of the reads — stratified per
 ``(loop signature, line, tid)`` so the first read of every access
 context in every loop iteration always ships (see
 :class:`ShardSampler` for why that asymmetry preserves precision).
-``repro bench --suite detect`` measures the resulting precision/recall
-against the exact store (:func:`repro.profiler.deps.store_accuracy`)
+The detect bench suite (``python -m benchmarks.suites detect``)
+measures the resulting precision/recall against the exact store (:func:`repro.profiler.deps.store_accuracy`)
 and gates on it.
 
 **Supervision** (``policy=RetryPolicy(...)``): every dispatched batch is

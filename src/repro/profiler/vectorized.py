@@ -47,8 +47,8 @@ of :class:`~repro.profiler.shadow.SignatureShadow`.
 
 The resulting store is **bit-identical** to the loop detector's on every
 workload (the three-way equivalence matrix in ``tests/test_detect.py``
-is the tripwire); ``repro bench --suite detect`` tracks the throughput
-ratio.
+is the tripwire); the detect bench suite
+(``python -m benchmarks.suites detect``) tracks the throughput ratio.
 """
 
 from __future__ import annotations

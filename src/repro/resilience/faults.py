@@ -21,11 +21,6 @@ Events are keyed by *where* they fire:
     ``fault_attempt`` (= the job's recorded failure count) equals
     ``gen``: the former dies mid-flush leaving a torn tmp, the latter
     publishes a truncated payload against a full-payload checksum.
-``stale_lease`` / ``flip_checksum``
-    are *environment* faults — they describe damage planted in the
-    store tree from outside (a lease left by a dead pid, a flipped byte
-    in a published artifact) rather than a hook that fires in-process;
-    :func:`apply_store_environment` applies them to a key directory.
 
 Keying by generation is what makes every plan *eventually successful*
 without any cross-process shared state: a retried worker observes a
@@ -52,17 +47,12 @@ FAULT_KINDS = (
     "raise_in_phase",
     "kill_in_store_write",
     "torn_store_write",
-    "stale_lease",
-    "flip_checksum",
 )
 
 _WORKER_KINDS = ("kill_worker", "hang_worker", "drop_slab_ack", "corrupt_done_payload")
 
 #: Store-phase kinds that fire inside ArtifactStore._publish.
 _STORE_WRITE_KINDS = ("kill_in_store_write", "torn_store_write")
-
-#: Environment kinds applied to the tree from outside the writer process.
-_STORE_ENV_KINDS = ("stale_lease", "flip_checksum")
 
 #: Exit code used by killed workers, distinguishable from real crashes.
 KILL_EXIT_CODE = 73
@@ -92,8 +82,6 @@ class FaultEvent:
             raise ValueError("raise_in_phase events need a phase")
         if self.kind in _STORE_WRITE_KINDS and not self.artifact:
             raise ValueError(f"{self.kind} events need an artifact name")
-        if self.kind == "flip_checksum" and not self.artifact:
-            raise ValueError("flip_checksum events need an artifact name")
 
     def to_dict(self) -> dict:
         data = {"kind": self.kind, "gen": self.gen}
@@ -303,23 +291,3 @@ def flip_artifact_byte(path: str, *, offset: int = 0) -> None:
             return
         handle.seek(offset)
         handle.write(bytes([byte[0] ^ 0xFF]))
-
-
-def apply_store_environment(plan: "FaultPlan", key_dir: str) -> List[str]:
-    """Apply a plan's environment fault kinds to one key directory.
-
-    Returns the kinds applied.  ``stale_lease`` plants a dead-pid lease;
-    ``flip_checksum`` flips a byte in the event's ``artifact`` (skipped
-    when that artifact does not exist yet).
-    """
-    applied = []
-    for event in plan.events:
-        if event.kind == "stale_lease":
-            plant_stale_lease(key_dir)
-            applied.append(event.kind)
-        elif event.kind == "flip_checksum":
-            path = os.path.join(key_dir, event.artifact or "")
-            if os.path.isfile(path):
-                flip_artifact_byte(path)
-                applied.append(event.kind)
-    return applied

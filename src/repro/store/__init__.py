@@ -20,7 +20,8 @@ that many processes can share without corrupting each other:
   maintenance, and ``store.*`` lock metrics through :mod:`repro.obs`.
 
 ``repro store stats|verify|gc`` drives the maintenance surface from the
-CLI and ``repro bench --suite store`` tortures the whole stack (kill
+CLI, and the store bench suite (``python -m benchmarks.suites store``)
+tortures the whole stack (kill
 mid-write, torn writes, stale leases, checksum flips under concurrent
 writers).  See docs/RESILIENCE.md, "The artifact store".
 """

@@ -496,23 +496,3 @@ class TestCLIPipelineFlags:
         data = json.loads(capsys.readouterr().out)
         assert "chunk_format" not in data["profile_stats"]
         assert "spilled_chunks" in data["profile_stats"]
-
-    def test_bench_smoke(self, tmp_path, capsys, monkeypatch):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit):
-            main(["bench", "--quick"])  # a suite must be named
-        assert "--suite" in capsys.readouterr().err
-        monkeypatch.chdir(tmp_path)
-        code = main([
-            "bench", "--suite", "vm", "fib", "--reps", "1",
-            "--format", "json", "--save", "bench.json",
-        ])
-        assert code == 0
-        import json
-
-        with open(tmp_path / "bench.json") as handle:
-            saved = json.load(handle)
-        assert saved["workloads"][0]["workload"] == "fib"
-        assert saved["all_traces_identical"]
-        assert saved["all_stores_identical"]

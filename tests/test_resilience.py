@@ -135,6 +135,15 @@ class TestFaultPlan:
         with pytest.raises(ValueError, match="need a phase"):
             FaultEvent(kind="raise_in_phase")
 
+    @pytest.mark.parametrize("kind", ["stale_lease", "flip_checksum"])
+    def test_store_damage_is_not_a_plan_event(self, kind):
+        # no hook fires these in-process: a plan naming them would be
+        # accepted and inject nothing, so it is rejected instead
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            FaultPlan.from_dict(
+                {"events": [{"kind": kind, "artifact": "detect.json"}]}
+            )
+
     def test_plan_roundtrip_and_kinds(self):
         plan = FaultPlan(
             [FaultEvent(kind=k, batch=0) for k in WORKER_FAULTS], seed=9,
