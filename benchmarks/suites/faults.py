@@ -56,16 +56,16 @@ def _state(detector) -> dict:
     }
 
 
-def _reference(trace) -> dict:
+def _reference(chunks: list) -> dict:
     """The serial vectorized state every fault case must reproduce."""
     ref = VectorizedProfiler()
-    for chunk in trace.chunks:
+    for chunk in chunks:
         ref.process_chunk(chunk)
     ref.flush()
     return _state(ref)
 
 
-def _run_case(trace, plan) -> dict:
+def _run_case(chunks: list, plan) -> dict:
     """One supervised sharded run under a fault plan; never raises."""
     det = ShardedDetector(
         n_shards=WORKERS,
@@ -79,7 +79,7 @@ def _run_case(trace, plan) -> dict:
         with warnings.catch_warnings():
             # the degrade rung warns by design; the tally is recorded
             warnings.simplefilter("ignore", RuntimeWarning)
-            for chunk in trace.chunks:
+            for chunk in chunks:
                 det.process_chunk(chunk)
             det.finalize()
     except Exception as exc:
@@ -103,7 +103,9 @@ def run(quick: bool) -> dict:
     workload = get_workload(WORKLOAD)
     trace = TraceSink()
     VM(workload.compile(1), trace, chunk_size=CHUNK_SIZE).run(workload.entry)
-    reference = _reference(trace)
+    # widened once, outside every timed case
+    chunks = list(trace.iter_chunks())
+    reference = _reference(chunks)
 
     events = len(trace)
     n_batches = max(1, -(-events // BATCH_EVENTS))
@@ -121,14 +123,14 @@ def run(quick: bool) -> dict:
     cases = []
     for kind, batch in matrix:
         plan = FaultPlan([FaultEvent(kind=kind, shard=0, batch=batch)])
-        case = _run_case(trace, plan)
+        case = _run_case(chunks, plan)
         case.update(case_kind=kind, batch=batch, schedule="single")
         cases.append(case)
     for seed in range(SEED, SEED + (1 if quick else 3)):
         plan = FaultPlan.scattered(
             seed, n_shards=WORKERS, n_batches=n_batches,
         )
-        case = _run_case(trace, plan)
+        case = _run_case(chunks, plan)
         case.update(
             case_kind="+".join(e.kind for e in plan.events),
             batch=None,
@@ -140,7 +142,7 @@ def run(quick: bool) -> dict:
     degrade_plan = FaultPlan(
         [FaultEvent(kind="kill_worker", batch=0, gen=gen) for gen in range(8)]
     )
-    case = _run_case(trace, degrade_plan)
+    case = _run_case(chunks, degrade_plan)
     case.update(case_kind="kill_worker", batch=0, schedule="unrecoverable")
     cases.append(case)
 

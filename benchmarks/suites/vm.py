@@ -64,12 +64,11 @@ LEGS = {"traced": _traced, "untraced": _untraced, "profile": _profile}
 
 def _same_trace(a, b) -> bool:
     (trace_a, vm_a), (trace_b, vm_b) = a, b
+    rows_a = [c.rows for c in trace_a.iter_chunks()]
+    rows_b = [c.rows for c in trace_b.iter_chunks()]
     return (
-        [len(c) for c in trace_a.chunks] == [len(c) for c in trace_b.chunks]
-        and np.array_equal(
-            np.concatenate([c.rows for c in trace_a.chunks]),
-            np.concatenate([c.rows for c in trace_b.chunks]),
-        )
+        [len(r) for r in rows_a] == [len(r) for r in rows_b]
+        and np.array_equal(np.concatenate(rows_a), np.concatenate(rows_b))
         and vm_a.strings.values == vm_b.strings.values
         and vm_a.sigs.values == vm_b.sigs.values
     )

@@ -20,19 +20,24 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable, Optional
 
-import networkx as nx
-
+from repro.cu.digraph import (
+    DiGraph,
+    condensation,
+    strongly_connected_components,
+    topological_sort,
+)
 from repro.cu.model import CU, CURegistry
 from repro.mir.module import Module, Region
 from repro.profiler.deps import Dependence, DependenceStore, DepType
 
 
 class CUGraph:
-    """A networkx DiGraph over CUs with dependence-typed edges."""
+    """A :class:`~repro.cu.digraph.DiGraph` over CUs with dependence-typed
+    edges."""
 
     def __init__(self, cus: list[CU]) -> None:
         self.cus = list(cus)
-        self.graph = nx.DiGraph()
+        self.graph = DiGraph()
         for cu in self.cus:
             self.graph.add_node(cu.cu_id, cu=cu)
         self._line2cu: dict[int, int] = {}
@@ -84,10 +89,11 @@ class CUGraph:
     # structure queries used by Chapter 4
     # ------------------------------------------------------------------
 
-    def raw_subgraph(self) -> nx.DiGraph:
+    def raw_subgraph(self) -> DiGraph:
         """Only true-dependence edges — the ones that cannot be broken."""
-        sub = nx.DiGraph()
-        sub.add_nodes_from(self.graph.nodes(data=True))
+        sub = DiGraph()
+        for node, attrs in self.graph.nodes.items():
+            sub.add_node(node, **attrs)
         for a, b, data in self.graph.edges(data=True):
             if DepType.RAW in data["types"]:
                 sub.add_edge(a, b, **data)
@@ -95,14 +101,12 @@ class CUGraph:
 
     def sccs(self) -> list[set]:
         """Strongly connected components of the RAW subgraph (§4.2.2)."""
-        return [set(c) for c in nx.strongly_connected_components(
-            self.raw_subgraph()
-        )]
+        return list(strongly_connected_components(self.raw_subgraph()))
 
-    def condensation(self) -> nx.DiGraph:
+    def condensation(self) -> DiGraph:
         """SCC condensation of the RAW subgraph — the task graph skeleton
         after substituting SCCs with single vertices (Fig. 4.5)."""
-        return nx.condensation(self.raw_subgraph())
+        return condensation(self.raw_subgraph())
 
     def chains(self) -> list[list]:
         """Maximal chains (paths of nodes with in/out degree <= 1) in the
@@ -111,7 +115,7 @@ class CUGraph:
         cond = self.condensation()
         chains: list[list] = []
         visited: set = set()
-        for node in nx.topological_sort(cond):
+        for node in topological_sort(cond):
             if node in visited:
                 continue
             if cond.in_degree(node) > 1:

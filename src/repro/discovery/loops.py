@@ -28,8 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-import networkx as nx
-
+from repro.cu.digraph import topological_generations
 from repro.cu.graph import CUGraph, build_cu_graph
 from repro.cu.model import CURegistry
 from repro.mir.module import Module, Region
@@ -241,10 +240,7 @@ def analyze_loop(
         )
         if graph.cus:
             cond = graph.condensation()
-            try:
-                levels = list(nx.topological_generations(cond))
-            except nx.NetworkXUnfeasible:  # pragma: no cover - cond is a DAG
-                levels = []
+            levels = list(topological_generations(cond))
             info.stages = max(1, len(levels))
             blocked_lines = {d.sink_line for d in raw_blockers} | {
                 d.source_line for d in raw_blockers

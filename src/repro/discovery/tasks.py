@@ -18,8 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-import networkx as nx
-
+from repro.cu.digraph import (
+    DiGraph,
+    descendants,
+    topological_generations,
+    topological_sort,
+)
 from repro.cu.graph import CUGraph
 from repro.mir.instructions import Opcode
 from repro.mir.module import Module, Region
@@ -104,8 +108,8 @@ class TaskGraph:
     edges: set  # (src_node_id, dst_node_id): src must finish before dst
     container_region: int = -1
 
-    def graph(self) -> nx.DiGraph:
-        g = nx.DiGraph()
+    def graph(self) -> DiGraph:
+        g = DiGraph()
         for node in self.nodes:
             g.add_node(node.node_id, task=node)
         g.add_edges_from(self.edges)
@@ -116,7 +120,7 @@ class TaskGraph:
         by_id = {n.node_id: n for n in self.nodes}
         return [
             [by_id[i] for i in generation]
-            for generation in nx.topological_generations(g)
+            for generation in topological_generations(g)
         ]
 
     @property
@@ -135,7 +139,7 @@ class TaskGraph:
         g = self.graph()
         by_id = {n.node_id: n for n in self.nodes}
         best: dict[int, int] = {}
-        for node_id in nx.topological_sort(g):
+        for node_id in topological_sort(g):
             preds = list(g.predecessors(node_id))
             incoming = max((best[p] for p in preds), default=0)
             best[node_id] = incoming + by_id[node_id].work
@@ -181,10 +185,6 @@ def call_sites(module: Module, region: Region) -> dict[int, str]:
     return out
 
 
-#: backwards-compatible alias (the name predates the public API)
-_call_sites = call_sites
-
-
 def find_spmd_tasks(
     module: Module,
     region: Region,
@@ -206,7 +206,7 @@ def find_spmd_tasks(
         return []
 
     # line-level RAW reachability (sink -> source = "depends on")
-    line_raw = nx.DiGraph()
+    line_raw = DiGraph()
     if anchored_store is not None:
         for dep in anchored_store:
             if dep.type == "RAW" and dep.sink_line != dep.source_line:
@@ -220,12 +220,12 @@ def find_spmd_tasks(
                 return True
             raw = graph.raw_subgraph()
             return (
-                cu_b.cu_id in nx.descendants(raw, cu_a.cu_id)
-                or cu_a.cu_id in nx.descendants(raw, cu_b.cu_id)
+                cu_b.cu_id in descendants(raw, cu_a.cu_id)
+                or cu_a.cu_id in descendants(raw, cu_b.cu_id)
             )
         if a not in line_raw or b not in line_raw:
             return False
-        return b in nx.descendants(line_raw, a) or a in nx.descendants(
+        return b in descendants(line_raw, a) or a in descendants(
             line_raw, b
         )
 
@@ -236,8 +236,6 @@ def find_spmd_tasks(
     groups: list[SPMDTaskGroup] = []
     for callee, lines in by_callee.items():
         recursive = callee == region.func
-        if len(lines) < 2 and not recursive:
-            continue
         if len(lines) < 2:
             continue
         cu_ids: list[int] = []
@@ -301,7 +299,7 @@ def find_mpmd_tasks(graph: CUGraph, region: Optional[Region] = None) -> TaskGrap
         nodes.append(TaskNode(chain_idx, sorted(cu_ids), lines, work))
 
     edges: set = set()
-    for a, b in cond.edges:
+    for a, b in cond.edges():
         ca, cb = chain_of[a], chain_of[b]
         if ca != cb:
             # CU-graph edges point sink -> source (dependence direction);

@@ -4,7 +4,9 @@ The VM emits its event stream as :class:`EventChunk` s — a packed numpy
 array (:data:`EVENT_DTYPE`): one int64 row of :data:`N_COLS` columns per
 event, kinds int-coded (:data:`K_READ` ...), strings (variable/function
 names, region kinds) interned through a :class:`StringTable`.  Every
-event kind maps onto the same nine columns (see :data:`COLUMNS`).
+event kind maps onto the same nine columns (see :data:`COLUMNS`).  A
+:class:`TraceSink` keeps the chunks it records as int32 where the values
+fit, and widens them back to int64 as it hands them out.
 
 ``sig`` is an interned id of the thread's loop-context stack
 ``((region_id, iteration), ...)`` at the time of the access — the profiler
@@ -75,6 +77,8 @@ EVENT_DTYPE = np.dtype([(name, np.int64) for name in COLUMNS])
 
 #: bytes per packed event
 EVENT_NBYTES = EVENT_DTYPE.itemsize
+
+_INT32 = np.iinfo(np.int32)
 
 
 class _InternTable:
@@ -304,23 +308,38 @@ class ChunkBuilder:
 class TraceSink:
     """Sink that records the entire event stream in memory.
 
-    ``n_events`` is maintained in exactly one place (:meth:`__call__`);
-    every other view (``__len__``, iteration) derives from the recorded
-    chunks.  ``nbytes`` exposes the resident footprint so memory pressure
-    is observable.
+    A recorded chunk rests as int32 when every value in it fits, as int64
+    otherwise: half the bytes for any trace whose addresses, timestamps
+    and signature ids stay below 2**31.  :meth:`iter_chunks` is the only
+    reader and widens one chunk at a time, so every consumer still sees
+    int64 rows.  ``n_events`` is maintained in exactly one place
+    (:meth:`__call__`).  ``nbytes`` is the resident footprint, so memory
+    pressure is observable.
     """
 
     def __init__(self) -> None:
-        self.chunks: list[EventChunk] = []
+        self._resting: list[EventChunk] = []
         self.n_events = 0
 
     def __call__(self, chunk: EventChunk) -> None:
-        self.chunks.append(chunk)
+        rows = chunk.rows
+        if not rows.size or (
+            rows.min() >= _INT32.min and rows.max() <= _INT32.max
+        ):
+            chunk = EventChunk(
+                rows.astype(np.int32, copy=False), chunk.strings, chunk.sigs
+            )
+        self._resting.append(chunk)
         self.n_events += len(chunk)
 
     def iter_chunks(self) -> Iterator[EventChunk]:
-        """The recorded chunks in arrival order."""
-        yield from self.chunks
+        """The recorded chunks in arrival order, as int64 rows."""
+        for chunk in self._resting:
+            if chunk.rows.dtype != np.int64:
+                chunk = EventChunk(
+                    chunk.rows.astype(np.int64), chunk.strings, chunk.sigs
+                )
+            yield chunk
 
     def __len__(self) -> int:
         return self.n_events
@@ -328,7 +347,7 @@ class TraceSink:
     @property
     def nbytes(self) -> int:
         """Resident bytes across recorded chunks."""
-        return sum(chunk.nbytes for chunk in self.chunks)
+        return sum(chunk.nbytes for chunk in self._resting)
 
 
 class SpillingTraceSink:
@@ -488,11 +507,16 @@ def save_trace(sink, path: str) -> None:
     Layout: ``strings`` (unicode array, slot 0 = None), the signature
     table as ``sig_lengths`` + ``sig_pairs`` (see
     :meth:`SignatureTable.to_arrays`), and ``rows_000000...`` one array
-    per chunk, preserving chunk boundaries.
+    per chunk, preserving chunk boundaries.  A :class:`TraceSink` writes
+    its chunks as they rest (int32 where they fit), so saving never
+    holds a widened copy of the trace.
     """
+    chunks = (
+        sink._resting if isinstance(sink, TraceSink) else sink.iter_chunks()
+    )
     arrays: dict[str, np.ndarray] = {}
     strings, sigs = StringTable(), SignatureTable()
-    for i, chunk in enumerate(sink.iter_chunks()):
+    for i, chunk in enumerate(chunks):
         strings, sigs = chunk.strings, chunk.sigs
         arrays[f"rows_{i:06d}"] = chunk.rows
     arrays["strings"] = strings.to_array()
@@ -504,8 +528,10 @@ def save_trace(sink, path: str) -> None:
 def load_trace(path: str) -> TraceSink:
     """Reload a :func:`save_trace` artifact into an in-memory TraceSink.
 
-    Raises :class:`TraceLayoutError` for a file without a signature table
-    (written before traces carried one): its ``sig`` ids cannot be decoded.
+    Row arrays may be int32 or int64; each rests as a recorded chunk
+    would.  Raises :class:`TraceLayoutError` for a file without a
+    signature table (written before traces carried one): its ``sig`` ids
+    cannot be decoded.
     """
     sink = TraceSink()
     with np.load(path) as data:

@@ -51,7 +51,7 @@ def record(name: str, **vm_kwargs):
 def loop_profile(trace, *, slots=None):
     shadow = PerfectShadow() if slots is None else SignatureShadow(slots)
     profiler = SerialProfiler(shadow)
-    for chunk in trace.chunks:
+    for chunk in trace.iter_chunks():
         profiler.process_chunk(chunk)
     return profiler
 
@@ -61,7 +61,7 @@ def vec_profile(trace, *, slots=None, batch_events=None):
     if batch_events is not None:
         kwargs["batch_events"] = batch_events
     profiler = VectorizedProfiler(slots, **kwargs)
-    for chunk in trace.chunks:
+    for chunk in trace.iter_chunks():
         profiler.process_chunk(chunk)
     profiler.flush()
     return profiler

@@ -6,7 +6,6 @@ import json
 import pytest
 
 from repro.discovery import call_sites
-from repro.discovery.tasks import _call_sites
 from repro.engine import (
     CUArtifact,
     DetectArtifact,
@@ -228,14 +227,13 @@ class TestArtifactRoundTrips:
 
 
 class TestCallSites:
-    def test_public_name_and_alias(self):
+    def test_public_name(self):
         from repro.mir.lowering import compile_source
 
         module = compile_source(TASKY)
         region = module.region_of_function("main")
         sites = call_sites(module, region)
         assert set(sites.values()) == {"left", "right"}
-        assert _call_sites is call_sites
 
 
 class TestBatch:

@@ -411,7 +411,7 @@ class TestShardedErrorObs:
         det = ShardedDetector(None, n_shards=2)
         det.attach_obs(Tracer(enabled=True), MetricsRegistry())
         try:
-            det.process_chunk(trace.chunks[0])
+            det.process_chunk(next(trace.iter_chunks()))
             # rows with a name id the parent never interned make the
             # worker's dep merge fail; the error must carry the worker's
             # partial metrics snapshot and span-lane bundle home
@@ -421,7 +421,7 @@ class TestShardedErrorObs:
             rows[:, COL_LINE] = 3
             rows[:, COL_NAME] = 500_000
             rows[:, COL_TS] = (10, 11)
-            first = trace.chunks[0]
+            first = next(trace.iter_chunks())
             det.process_chunk(EventChunk(rows, first.strings, first.sigs))
             with pytest.raises(ShardedDetectionError) as excinfo:
                 det.finalize()

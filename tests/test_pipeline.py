@@ -30,6 +30,7 @@ from repro.runtime.events import (
     EventChunk,
     K_READ,
     K_WRITE,
+    N_COLS,
     SignatureTable,
     SpillingTraceSink,
     StringTable,
@@ -69,7 +70,7 @@ def assert_sigs_decode(trace, vm) -> None:
 
 def rechunk(trace, size: int):
     """The same stream cut into ``size``-row chunks (shared strings)."""
-    for chunk in trace.chunks:
+    for chunk in trace.iter_chunks():
         for start in range(0, len(chunk), size):
             yield chunk.take(slice(start, start + size))
 
@@ -86,7 +87,7 @@ def recorded():
 
 class TestPackedFormat:
     def test_event_dtype_layout(self, recorded):
-        chunk = recorded[TEXTBOOK][0].chunks[0]
+        chunk = next(recorded[TEXTBOOK][0].iter_chunks())
         assert isinstance(chunk, EventChunk)
         structured = chunk.structured
         assert structured.dtype == EVENT_DTYPE
@@ -118,7 +119,7 @@ class TestPackedFormat:
         trace = recorded[TEXTBOOK][0]
         profiler = (SerialProfiler(PerfectShadow()) if core == "serial"
                     else VectorizedProfiler())
-        first = trace.chunks[0]
+        first = next(trace.iter_chunks())
         profiler.process_chunk(first)
         # an equal copy is still another table: the ids are bound to the first
         other = SignatureTable(list(first.sigs.values))
@@ -131,14 +132,76 @@ class TestPackedFormat:
 class TestSinkAccounting:
     def test_n_events_single_source_of_truth(self, recorded):
         for trace, _ in recorded.values():
-            assert trace.n_events == sum(len(c) for c in trace.chunks)
+            assert trace.n_events == sum(len(c) for c in trace.iter_chunks())
             assert len(trace) == trace.n_events
             assert trace.n_events == rows_of(trace).shape[0]
 
     def test_nbytes_observable(self, recorded):
+        # the VM emits int64 rows; a recorded trace rests as int32
         trace = recorded[TEXTBOOK][0]
         assert EVENT_NBYTES == 72
-        assert trace.nbytes == trace.n_events * EVENT_NBYTES
+        assert trace.nbytes == trace.n_events * N_COLS * 4
+
+
+class TestRestingFormat:
+    """A recorded chunk rests as int32 where every value fits and as
+    int64 where one does not; every reader sees int64 rows."""
+
+    @staticmethod
+    def _mixed_sink():
+        small = make_chunk([
+            [K_WRITE, 64, 3, "x", 0, 0, 0, 0, 0],
+            [K_READ, 64, 4, "x", 1, 0, 1, 0, 0],
+        ])
+        big = make_chunk([[K_READ, 64, 5, "y", 2, 0, 2**31, 0, 0]])
+        sink = TraceSink()
+        sink(small)
+        sink(big)
+        return sink, [small.rows, big.rows]
+
+    def test_out_of_range_chunk_stays_int64(self):
+        sink, (small, big) = self._mixed_sink()
+        assert sink.nbytes == len(small) * N_COLS * 4 + len(big) * N_COLS * 8
+        assert len(sink) == 3
+
+    def test_readers_see_the_recorded_int64_rows(self, recorded):
+        sink, expected = self._mixed_sink()
+        chunks = list(sink.iter_chunks())
+        assert [c.rows.dtype for c in chunks] == [np.int64, np.int64]
+        for chunk, rows in zip(chunks, expected):
+            assert np.array_equal(chunk.rows, rows)
+        trace = recorded[TEXTBOOK][0]
+        assert all(c.rows.dtype == np.int64 for c in trace.iter_chunks())
+
+    def test_save_writes_resting_arrays_and_reloads(self, tmp_path):
+        sink, expected = self._mixed_sink()
+        path = str(tmp_path / "trace.npz")
+        save_trace(sink, path)
+        with np.load(path) as data:
+            assert data["rows_000000"].dtype == np.int32
+            assert data["rows_000001"].dtype == np.int64
+        restored = load_trace(path)
+        assert restored.nbytes == sink.nbytes
+        for chunk, rows in zip(restored.iter_chunks(), expected):
+            assert chunk.rows.dtype == np.int64
+            assert np.array_equal(chunk.rows, rows)
+
+    def test_all_int64_trace_file_still_loads(self, recorded, tmp_path):
+        """The layout written before traces rested as int32."""
+        trace, vm = recorded[TEXTBOOK]
+        arrays = {
+            f"rows_{i:06d}": chunk.rows
+            for i, chunk in enumerate(trace.iter_chunks())
+        }
+        arrays["strings"] = vm.strings.to_array()
+        arrays["sig_lengths"], arrays["sig_pairs"] = vm.sigs.to_arrays()
+        path = str(tmp_path / "trace.npz")
+        with open(path, "wb") as handle:
+            np.savez_compressed(handle, **arrays)
+        restored = load_trace(path)
+        assert restored.nbytes == trace.nbytes
+        assert np.array_equal(rows_of(restored), rows_of(trace))
+        assert_sigs_decode(restored, vm)
 
 
 def profile_trace(chunks, shadow=None):
@@ -157,7 +220,7 @@ class TestSerialEquivalence:
     @pytest.mark.parametrize("name", [TEXTBOOK, NAS])
     def test_dependence_store_bit_identical(self, recorded, name):
         trace, vm = recorded[name]
-        whole = profile_trace(trace.chunks)
+        whole = profile_trace(trace.iter_chunks())
         small = profile_trace(rechunk(trace, SMALL_CHUNK))
         assert whole.store.to_dict() == small.store.to_dict()
         assert {k: r.to_dict() for k, r in whole.control.items()} == {
@@ -173,7 +236,7 @@ class TestSerialEquivalence:
         trace, vm = recorded[name]
         s_whole = SignatureShadow(251)
         s_small = SignatureShadow(251)
-        whole = profile_trace(trace.chunks, shadow=s_whole)
+        whole = profile_trace(trace.iter_chunks(), shadow=s_whole)
         small = profile_trace(rechunk(trace, SMALL_CHUNK), shadow=s_small)
         assert whole.store.to_dict() == small.store.to_dict()
         assert s_whole.collisions == s_small.collisions
@@ -218,7 +281,7 @@ class TestSerialEquivalence:
         """
         module = compile_source(src)
         trace, vm = record(module, "main", quantum=8)
-        whole = profile_trace(trace.chunks)
+        whole = profile_trace(trace.iter_chunks())
         small = profile_trace(rechunk(trace, SMALL_CHUNK))
         assert whole.store.to_dict() == small.store.to_dict()
         assert {d.sink_tid for d in whole.store} > {0}
@@ -228,7 +291,7 @@ class TestSkippingAndPET:
     def test_skipping_accepts_packed_chunks(self, recorded):
         trace, vm = recorded[TEXTBOOK]
         skippers = []
-        for chunks in (trace.chunks, rechunk(trace, SMALL_CHUNK)):
+        for chunks in (trace.iter_chunks(), rechunk(trace, SMALL_CHUNK)):
             skipper = SkippingProfiler(
                 SerialProfiler(PerfectShadow())
             )
@@ -239,12 +302,12 @@ class TestSkippingAndPET:
         assert whole.store.to_dict() == small.store.to_dict()
         assert whole.stats.skipped == small.stats.skipped > 0
         # skipping only drops repeat occurrences, never a dependence
-        assert whole.store.keys() == profile_trace(trace.chunks).store.keys()
+        assert whole.store.keys() == profile_trace(trace.iter_chunks()).store.keys()
 
     def test_pet_tree_identical(self, recorded):
         for name, (trace, _) in recorded.items():
             trees = []
-            for chunks in (trace.chunks, rechunk(trace, SMALL_CHUNK)):
+            for chunks in (trace.iter_chunks(), rechunk(trace, SMALL_CHUNK)):
                 pet = PETBuilder()
                 for chunk in chunks:
                     pet.process_chunk(chunk)
@@ -302,10 +365,10 @@ class TestSpillingTraceSink:
         save_trace(trace, str(path))
         restored = load_trace(str(path))
         assert np.array_equal(rows_of(restored), rows_of(trace))
-        assert restored.chunks[0].strings.values == (
-            trace.chunks[0].strings.values
+        assert next(restored.iter_chunks()).strings.values == (
+            next(trace.iter_chunks()).strings.values
         )
-        assert restored.chunks[0].sigs.values == vm.sigs.values
+        assert next(restored.iter_chunks()).sigs.values == vm.sigs.values
         assert_sigs_decode(restored, vm)
 
     def test_raw_npy_spill_roundtrip(self, tmp_path):

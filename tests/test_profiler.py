@@ -342,7 +342,7 @@ class TestPET:
     def test_tree_structure(self):
         _, trace, _ = run_source(self.SRC)
         pet = PETBuilder()
-        for chunk in trace.chunks:
+        for chunk in trace.iter_chunks():
             pet.process_chunk(chunk)
         functions = pet.functions()
         names = {f.name for f in functions}
@@ -353,7 +353,7 @@ class TestPET:
     def test_loop_metrics(self):
         _, trace, _ = run_source(self.SRC)
         pet = PETBuilder()
-        for chunk in trace.chunks:
+        for chunk in trace.iter_chunks():
             pet.process_chunk(chunk)
         loops = pet.loops()
         assert loops
@@ -363,7 +363,7 @@ class TestPET:
     def test_memory_attribution(self):
         _, trace, _ = run_source(self.SRC)
         pet = PETBuilder()
-        for chunk in trace.chunks:
+        for chunk in trace.iter_chunks():
             pet.process_chunk(chunk)
         main = [f for f in pet.functions() if f.name == "main"][0]
         assert main.memory_instructions > 0

@@ -65,7 +65,7 @@ def supervised_profile(trace, *, faults=None, policy=FAST_POLICY,
 
         det.attach_obs(Tracer(enabled=False), metrics)
     try:
-        for chunk in trace.chunks:
+        for chunk in trace.iter_chunks():
             det.process_chunk(chunk)
         det.finalize()
     except BaseException:
@@ -290,7 +290,7 @@ class TestAbortCleanliness:
             batch_events=BATCH, slab_rows=BATCH,
             policy=FAST_POLICY, faults=plan,
         )
-        chunks = list(trace.chunks)
+        chunks = list(trace.iter_chunks())
         for chunk in chunks[: max(1, len(chunks) // 2)]:
             det.process_chunk(chunk)
         assert self._shm_segments(det.shm_prefix)  # slabs really exist
@@ -470,7 +470,7 @@ class TestResumableBatch:
                 f"rows_{i:06d}": chunk.rows
                 for i, chunk in enumerate(trace.iter_chunks())
             }
-            arrays["strings"] = trace.chunks[0].strings.to_array()
+            arrays["strings"] = next(trace.iter_chunks()).strings.to_array()
             with open(tmp, "wb") as handle:
                 np.savez_compressed(handle, **arrays)
 
@@ -502,7 +502,7 @@ class TestResumableBatch:
                 f"rows_{i:06d}": chunk.rows
                 for i, chunk in enumerate(trace.iter_chunks())
             }
-            arrays["strings"] = trace.chunks[0].strings.to_array()
+            arrays["strings"] = next(trace.iter_chunks()).strings.to_array()
             arrays["sig_lengths"] = np.array([1], dtype=np.int64)
             arrays["sig_pairs"] = np.array([[0, 0]], dtype=np.int64)
             with open(tmp, "wb") as handle:

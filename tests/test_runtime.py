@@ -38,7 +38,7 @@ def _rows(trace) -> np.ndarray:
 
 def _named(trace, kind: int, name: str) -> list:
     """Rows of one kind whose name column decodes to ``name``."""
-    names = trace.chunks[0].strings.values
+    names = next(trace.iter_chunks()).strings.values
     rows = _rows(trace)
     return [
         row for row in rows[rows[:, COL_KIND] == kind].tolist()

@@ -59,7 +59,7 @@ def sharded_profile(trace, *, shards=2, sampling=None, slots=None,
         **kwargs,
     )
     try:
-        for chunk in trace.chunks:
+        for chunk in trace.iter_chunks():
             det.process_chunk(chunk)
         det.finalize()
     except BaseException:
@@ -113,7 +113,7 @@ class TestShardedExactness:
         trace, vm = record("histogram")
         det = ShardedDetector(None, n_shards=2)
         try:
-            det.process_chunk(trace.chunks[0])
+            det.process_chunk(next(trace.iter_chunks()))
             # rows referencing a name id the parent never interned make
             # the worker's dep merge fail: the error must reach the
             # parent as ShardedDetectionError, not a hang
@@ -123,7 +123,7 @@ class TestShardedExactness:
             rows[:, COL_LINE] = 3
             rows[:, COL_NAME] = 500_000
             rows[:, COL_TS] = (10, 11)
-            first = trace.chunks[0]
+            first = next(trace.iter_chunks())
             det.process_chunk(EventChunk(rows, first.strings, first.sigs))
             with pytest.raises(ShardedDetectionError):
                 det.finalize()
@@ -146,7 +146,7 @@ class TestMergeAssociativity:
                 )
                 for _ in range(shards)
             ]
-            for chunk in trace.chunks:
+            for chunk in trace.iter_chunks():
                 for s, part in enumerate(split_rows(chunk.rows, shards)):
                     if part.shape[0]:
                         workers[s].process_chunk(

@@ -46,7 +46,7 @@ def _run(module, entry, dispatch, *, instrument=True, **vm_kwargs):
 
 def _store_of(trace):
     profiler = SerialProfiler(PerfectShadow())
-    for chunk in trace.chunks:
+    for chunk in trace.iter_chunks():
         profiler.process_chunk(chunk)
     return profiler.store.to_dict()
 
@@ -86,13 +86,13 @@ class TestGoldenTraceEquivalence:
         )
 
         # traces are row-for-row and chunk-for-chunk identical
-        rows_sw = np.concatenate([c.rows for c in t_sw_traced.chunks])
-        rows_c = np.concatenate([c.rows for c in t_c_traced.chunks])
+        rows_sw = np.concatenate([c.rows for c in t_sw_traced.iter_chunks()])
+        rows_c = np.concatenate([c.rows for c in t_c_traced.iter_chunks()])
         assert np.array_equal(rows_sw, rows_c)
         assert vm_sw_traced.strings.values == vm_c_traced.strings.values
         assert vm_sw_traced.sigs.values == vm_c_traced.sigs.values
-        assert [len(c) for c in t_sw_traced.chunks] == [
-            len(c) for c in t_c_traced.chunks
+        assert [len(c) for c in t_sw_traced.iter_chunks()] == [
+            len(c) for c in t_c_traced.iter_chunks()
         ]
 
         # dependence stores built from both traced runs are equal
@@ -110,8 +110,8 @@ class TestGoldenTraceEquivalence:
         )
         assert r_s == r_c
         assert vm_s.total_steps == vm_c.total_steps
-        rows_s = np.concatenate([c.rows for c in t_s.chunks])
-        rows_c = np.concatenate([c.rows for c in t_c.chunks])
+        rows_s = np.concatenate([c.rows for c in t_s.iter_chunks()])
+        rows_c = np.concatenate([c.rows for c in t_c.iter_chunks()])
         assert np.array_equal(rows_s, rows_c)
 
     def test_unknown_dispatch_rejected(self):
