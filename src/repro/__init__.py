@@ -56,11 +56,13 @@ Live Python functions analyze directly — no MiniC port needed
                            args=([1.0] * 64, [2.0] * 64, 3.0, 64))
     print(result.format_report())   # lines point at this file
 
-The profiler alone, without the later phases::
+The profiler alone, without the later phases: the VM streams event
+chunks straight into it::
 
-    from repro import profile_source
-    profiler, vm, exit_value = profile_source(source,
-                                              signature_slots=1 << 20)
+    from repro import VM, SerialProfiler, SignatureShadow, compile_source
+    profiler = SerialProfiler(SignatureShadow(1 << 20))
+    exit_value = VM(compile_source(source), profiler).run("main")
+    profiler.store                  # the merged dependences
 
 Lower-level layers are exposed as subpackages: :mod:`repro.minic` (the
 C-like language), :mod:`repro.mir` (the LLVM-like IR), :mod:`repro.runtime`
@@ -73,7 +75,7 @@ profile|discover|report|batch``).
 
 from repro.mir.lowering import compile_source
 from repro.runtime.interpreter import VM, run_source
-from repro.profiler.serial import SerialProfiler, profile_source
+from repro.profiler.serial import SerialProfiler
 from repro.profiler.shadow import PerfectShadow, SignatureShadow
 from repro.profiler.parallel import ParallelProfiler
 from repro.profiler.skipping import SkippingProfiler
@@ -100,7 +102,6 @@ __all__ = [
     "VM",
     "run_source",
     "SerialProfiler",
-    "profile_source",
     "PerfectShadow",
     "SignatureShadow",
     "ParallelProfiler",

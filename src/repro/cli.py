@@ -6,7 +6,7 @@ The unified ``repro`` command drives the staged engine::
     repro discover file.mc [--threads 8] [--format json] [--save out.json]
     repro discover file.py            # Python frontend (by extension)
     repro discover prog.txt --frontend python   # explicit override
-    repro discover --workload fib --backend parallel --format json
+    repro discover --workload fib --detect sharded --format json
     repro discover file.mc --spill-trace --max-resident-chunks 8
     repro parallelize --workload matmul --workers 4   # transform+validate
     repro report   file.mc            # PET + profiling statistics
@@ -66,13 +66,10 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_pipeline_options(parser: argparse.ArgumentParser) -> None:
-    from repro.profiler.backends import BACKENDS
-
     parser.add_argument(
-        "--backend",
-        choices=sorted(BACKENDS),
-        default="serial",
-        help="profiler backend (see repro.profiler.backends)",
+        "--skip-loops",
+        action="store_true",
+        help="enable the §2.4 skipping optimization (runs the loop core)",
     )
     parser.add_argument(
         "--dispatch",
@@ -190,7 +187,6 @@ def _config_from_args(args, source: str, name: str,
         signature_slots=args.signature_slots,
         skip_loops=getattr(args, "skip_loops", False),
         seed=args.seed,
-        backend=getattr(args, "backend", "serial"),
         dispatch=getattr(args, "dispatch", "compiled"),
         detect=getattr(args, "detect", "vectorized"),
         detect_workers=getattr(args, "detect_workers", 4),
@@ -634,8 +630,6 @@ def main(argv=None) -> int:
                    help="source file (.py is Python, anything else MiniC)")
     p.add_argument("--workload", help="registry workload name instead")
     p.add_argument("--scale", type=int, default=1)
-    p.add_argument("--skip-loops", action="store_true",
-                   help="enable the §2.4 skipping optimization")
     _add_run_options(p)
     _add_pipeline_options(p)
     _add_output_options(p)

@@ -80,14 +80,12 @@ class ProfileArtifact:
     store: DependenceStore
     control: dict
     #: {"reads": ..., "writes": ..., "accesses": ..., "raw_occurrences": ...,
-    #:  "backend": ..., "dispatch": ..., "trace_nbytes": ...}
+    #:  "detect": ..., "dispatch": ..., "trace_nbytes": ...}
     stats: dict = field(default_factory=dict)
     module: Optional[Module] = None
     #: TraceSink or SpillingTraceSink — anything with iter_chunks()
     trace: Optional[object] = None
     pet: Optional[PETBuilder] = None
-    #: the live BackendResult (extras: skip stats, parallel report, ...)
-    backend_result: Optional[object] = None
 
     def to_dict(self) -> dict:
         return {
@@ -332,7 +330,7 @@ class DiscoveryResult:
     #: self-profiling aggregates ({} unless config.obs == "trace"):
     #: per-phase self time, hottest span paths, sampling shares
     selfprof: dict = field(default_factory=dict)
-    #: Phase-1 statistics (backend name, event counts, trace bytes, ...)
+    #: Phase-1 statistics (detection core, event counts, trace bytes, ...)
     profile_stats: dict = field(default_factory=dict)
     #: validate-phase reports (present when the engine ran with
     #: ``config.validate``): one per transformable suggestion

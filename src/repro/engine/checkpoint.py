@@ -216,13 +216,6 @@ class JobCheckpoint:
             return row
         return None
 
-    def completed_phases(self) -> list:
-        return [
-            phase
-            for phase, filename, _cls in PHASE_FILES
-            if os.path.exists(self._path(filename))
-        ]
-
     def restore(self, engine) -> list:
         """Adopt the longest *verified* persisted phase prefix.
 

@@ -47,11 +47,6 @@ class DiscoveryConfig:
     keep_trace: bool = False
     #: VM random seed (convenience; folded into vm_kwargs)
     seed: Optional[int] = None
-    #: profiler backend name (see :mod:`repro.profiler.backends`):
-    #: serial | signature | skipping | parallel | any other BACKENDS key
-    backend: str = "serial"
-    #: extra backend constructor options (n_workers, queue_kind, ...)
-    backend_options: dict = field(default_factory=dict)
     #: VM execution core: "compiled" (closure-specialized dispatch with
     #: fused superinstructions, see :mod:`repro.runtime.compile`) or
     #: "switch" (the bit-exact string-dispatch reference loop)
@@ -72,9 +67,6 @@ class DiscoveryConfig:
     max_resident_chunks: int = 64
     #: where spill segments go (None = a private temp dir)
     spill_dir: Optional[str] = None
-    #: spill segment format: True = compressed .npz (smaller), False =
-    #: raw .npy (mmap-able zero-copy by the sharded detection workers)
-    spill_compress: bool = True
     #: extra VM constructor keywords (quantum, instrument, ...)
     vm_kwargs: dict = field(default_factory=dict)
     #: worker-pool width of the parallelize/validate phases
@@ -109,34 +101,6 @@ class DiscoveryConfig:
         kwargs.setdefault("dispatch", self.dispatch)
         return kwargs
 
-    def resolved_backend_options(self) -> dict:
-        """Backend constructor options implied by this config.
-
-        ``skip_loops`` is forwarded to every backend so an unsupported
-        combination (e.g. ``parallel`` + skipping) fails loudly instead
-        of silently running without the optimization.
-        """
-        options = dict(self.backend_options)
-        if self.signature_slots is not None:
-            options.setdefault("signature_slots", self.signature_slots)
-        if self.skip_loops:
-            options.setdefault("skip_loops", True)
-        if self.detect != "vectorized":
-            # non-default only, like the options above: the built-in
-            # backends already default to the vectorized core, and a
-            # custom BACKENDS entry without a ``detect`` kwarg must
-            # keep working under a default config
-            options.setdefault("detect", self.detect)
-        if self.detect == "sharded":
-            options.setdefault("detect_workers", self.detect_workers)
-            if self.detect_sampling is not None:
-                options.setdefault("detect_sampling", self.detect_sampling)
-            if self.resilience:
-                options.setdefault("resilience", dict(self.resilience))
-            if self.fault_plan is not None:
-                options.setdefault("fault_plan", dict(self.fault_plan))
-        return options
-
     def to_dict(self) -> dict:
         return {
             "source": self.source,
@@ -150,8 +114,6 @@ class DiscoveryConfig:
             "skip_loops": self.skip_loops,
             "keep_trace": self.keep_trace,
             "seed": self.seed,
-            "backend": self.backend,
-            "backend_options": dict(self.backend_options),
             "dispatch": self.dispatch,
             "detect": self.detect,
             "detect_workers": self.detect_workers,
@@ -159,7 +121,6 @@ class DiscoveryConfig:
             "spill_trace": self.spill_trace,
             "max_resident_chunks": self.max_resident_chunks,
             "spill_dir": self.spill_dir,
-            "spill_compress": self.spill_compress,
             "vm_kwargs": dict(self.vm_kwargs),
             "n_workers": self.n_workers,
             "validate": self.validate,
@@ -185,8 +146,6 @@ class DiscoveryConfig:
             skip_loops=data.get("skip_loops", False),
             keep_trace=data.get("keep_trace", False),
             seed=data.get("seed"),
-            backend=data.get("backend", "serial"),
-            backend_options=dict(data.get("backend_options") or {}),
             dispatch=data.get("dispatch", "compiled"),
             detect=data.get("detect", "vectorized"),
             detect_workers=data.get("detect_workers", 4),
@@ -194,7 +153,6 @@ class DiscoveryConfig:
             spill_trace=data.get("spill_trace", False),
             max_resident_chunks=data.get("max_resident_chunks", 64),
             spill_dir=data.get("spill_dir"),
-            spill_compress=data.get("spill_compress", True),
             vm_kwargs=dict(data.get("vm_kwargs") or {}),
             n_workers=data.get("n_workers", 4),
             validate=data.get("validate", False),

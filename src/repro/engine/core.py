@@ -62,7 +62,7 @@ from repro.parallelize import (
     run_sequential_reference,
     validate_plan,
 )
-from repro.profiler.backends import make_backend
+from repro.profiler.backends import SerialBackend
 from repro.profiler.pet import PETBuilder
 from repro.profiler.serial import SerialProfiler
 from repro.profiler.shadow import PerfectShadow
@@ -266,14 +266,24 @@ class DiscoveryEngine:
         config = self.config
         if config.spill_trace:
             trace = SpillingTraceSink(
-                config.max_resident_chunks,
-                spill_dir=config.spill_dir,
-                compress=config.spill_compress,
+                config.max_resident_chunks, spill_dir=config.spill_dir
             )
         else:
             trace = TraceSink()
-        backend = make_backend(
-            config.backend, **config.resolved_backend_options()
+        # the supervision fields reach only the sharded core, and only
+        # when set: an empty ``resilience`` would select a supervised
+        # RetryPolicy(), which journals every batch to disk
+        sharded = config.detect == "sharded"
+        backend = SerialBackend(
+            signature_slots=config.signature_slots,
+            skip_loops=config.skip_loops,
+            detect=config.detect,
+            detect_workers=config.detect_workers,
+            detect_sampling=config.detect_sampling,
+            resilience=(
+                config.resilience if sharded and config.resilience else None
+            ),
+            fault_plan=config.fault_plan if sharded else None,
         )
         pet = PETBuilder()
 
@@ -284,9 +294,7 @@ class DiscoveryEngine:
 
         if self.obs.active:
             tee = self._wrap_tee(tee)
-            attach = getattr(backend, "attach_obs", None)
-            if attach is not None:
-                attach(self.obs.tracer, self.obs.metrics)
+            backend.attach_obs(self.obs.tracer, self.obs.metrics)
 
         vm = VM(self.module, tee, **config.resolved_vm_kwargs())
         self.vm_runs += 1
@@ -351,7 +359,6 @@ class DiscoveryEngine:
             module=self.module,
             trace=trace,
             pet=pet,
-            backend_result=result,
         )
 
     # ------------------------------------------------------------------

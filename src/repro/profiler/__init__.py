@@ -18,19 +18,15 @@ Components:
 * :mod:`repro.profiler.races` — timestamp-inversion race flagging (§2.3.4).
 * :mod:`repro.profiler.pet` — the Program Execution Tree (§2.3.6).
 * :mod:`repro.profiler.reportfmt` — the NOM/BGN/END text format of Fig. 2.1.
-* :mod:`repro.profiler.backends` — the backend table unifying the
-  serial/parallel × perfect/signature × skipping matrix behind one
-  interface, selected via ``DiscoveryConfig.backend``.
+* :mod:`repro.profiler.vectorized` / :mod:`repro.profiler.sharded` — the
+  segmented-scan detection core and its multi-process address-sharded
+  front end.
+* :mod:`repro.profiler.backends` — :class:`SerialBackend`, the engine's
+  detection sink, built from ``DiscoveryConfig.signature_slots``,
+  ``skip_loops`` and ``detect``.
 """
 
-from repro.profiler.backends import (
-    BACKENDS,
-    BackendResult,
-    ParallelBackend,
-    ProfilerBackend,
-    SerialBackend,
-    make_backend,
-)
+from repro.profiler.backends import BackendResult, SerialBackend
 from repro.profiler.deps import (
     DepKey,
     DepType,
@@ -38,19 +34,15 @@ from repro.profiler.deps import (
     DependenceStore,
 )
 from repro.profiler.shadow import PerfectShadow, SignatureShadow
-from repro.profiler.serial import SerialProfiler, profile_source
+from repro.profiler.serial import SerialProfiler
 from repro.profiler.skipping import SkippingProfiler, SkipStats
 from repro.profiler.parallel import ParallelProfiler, ParallelReport
 from repro.profiler.pet import PETBuilder, PETNode
 from repro.profiler.reportfmt import format_report, parse_report
 
 __all__ = [
-    "BACKENDS",
     "BackendResult",
-    "ParallelBackend",
-    "ProfilerBackend",
     "SerialBackend",
-    "make_backend",
     "DepKey",
     "DepType",
     "Dependence",
@@ -58,7 +50,6 @@ __all__ = [
     "PerfectShadow",
     "SignatureShadow",
     "SerialProfiler",
-    "profile_source",
     "SkippingProfiler",
     "SkipStats",
     "ParallelProfiler",

@@ -78,10 +78,6 @@ class ParallelReport:
     memory_bytes: int = 0
 
     @property
-    def max_worker_load(self) -> int:
-        return max(self.work_units) if self.work_units else 0
-
-    @property
     def load_imbalance(self) -> float:
         """max/mean worker load — 1.0 is perfectly balanced."""
         if not self.work_units or sum(self.work_units) == 0:

@@ -62,10 +62,6 @@ class PETNode:
             c.subtree_memory_instructions for c in self.children
         )
 
-    def edge_kind_to(self, child: "PETNode") -> str:
-        """'calling' into functions, 'containing' otherwise."""
-        return "calling" if child.kind == "function" else "containing"
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<PET {self.kind} {self.name} x{self.executions}>"
 

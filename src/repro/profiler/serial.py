@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.profiler.deps import Dependence, DependenceStore
-from repro.profiler.shadow import PerfectShadow, SignatureShadow
+from repro.profiler.shadow import PerfectShadow
 from repro.runtime.events import (
     EventChunk,
     K_BGN,
@@ -306,35 +306,3 @@ class SerialProfiler:
 
     def result(self) -> DependenceStore:
         return self.store
-
-
-# ---------------------------------------------------------------------------
-# convenience drivers
-# ---------------------------------------------------------------------------
-
-
-def profile_source(
-    source: str,
-    *,
-    signature_slots: Optional[int] = None,
-    entry: str = "main",
-    **vm_kwargs,
-):
-    """Compile, run, and profile MiniC source online (streaming chunks).
-
-    Returns ``(profiler, vm, return_value)``.  ``signature_slots=None``
-    selects the exact PerfectShadow baseline.
-    """
-    from repro.mir.lowering import compile_source
-    from repro.runtime.interpreter import VM
-
-    module = compile_source(source)
-    shadow = (
-        PerfectShadow()
-        if signature_slots is None
-        else SignatureShadow(signature_slots)
-    )
-    profiler = SerialProfiler(shadow)
-    vm = VM(module, profiler, **vm_kwargs)
-    result = vm.run(entry)
-    return profiler, vm, result

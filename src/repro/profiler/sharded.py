@@ -15,9 +15,6 @@ attacks with address sharding.  This module lifts that design across
   pooled slab and publishes ``("rows", slab, n, ...)`` to every worker;
   a worker copies out its shard with one boolean gather and acks the
   slab for reuse.  No event data is ever pickled;
-* spilled raw-``.npy`` segments (``SpillingTraceSink(compress=False)``)
-  skip the slabs entirely: workers ``np.load(..., mmap_mode="r")`` the
-  segment and gather their shard straight out of the page cache;
 * every worker runs the unmodified vectorized segment scans over its
   shard; at :meth:`ShardedDetector.finalize` the per-shard
   :class:`DependenceStore`\\ s are streamed into one store
@@ -304,7 +301,7 @@ def _shard_worker(
     heartbeat: bool = False,
     fault_events: Optional[list] = None,
 ) -> None:
-    """Worker main: consume slab/segment messages, detect one shard.
+    """Worker main: consume slab/replay messages, detect one shard.
 
     Module-level (not a closure) so the spawn start method can pickle
     it; the interned string and signature tables arrive as incremental
@@ -375,7 +372,7 @@ def _shard_worker(
                 if not drop_ack:
                     result_q.put(("ack", idx, shard, gen))
                 seen = n
-            else:  # "npy": mmap a raw spill segment, zero staging copy
+            else:  # "npy": replay one journaled batch, mapped read-only
                 _, path, names_sfx, sigs_sfx = msg
                 seg = np.load(path, mmap_mode="r")
                 seen = seg.shape[0]
@@ -459,31 +456,23 @@ class _ReplayJournal:
     """Disk journal of every dispatched batch, in dispatch order.
 
     Supervised runs journal each slab piece (post-sampler, so replays
-    never re-flip sampling coins) as a raw ``.npy`` file; broadcast
-    spill segments journal by their existing path with no copy.  A
-    restarted shard worker replays the whole journal as ``("npy", ...)``
-    messages — its ``addr % n_shards`` gather re-derives exactly the
-    partition the failed attempt held, with no slab/ack bookkeeping.
+    never re-flip sampling coins) as a raw ``.npy`` file.  A restarted
+    shard worker replays the whole journal as ``("npy", ...)`` messages
+    — its ``addr % n_shards`` gather re-derives exactly the partition
+    the failed attempt held, with no slab/ack bookkeeping.
     """
 
     def __init__(self) -> None:
         self._dir = tempfile.mkdtemp(prefix="repro-journal-")
-        self._seq = 0
         self.entries: list[str] = []
-        self._owned: list[str] = []
 
     def record_rows(self, rows: np.ndarray) -> None:
-        path = os.path.join(self._dir, f"batch{self._seq:06d}.npy")
-        self._seq += 1
+        path = os.path.join(self._dir, f"batch{len(self.entries):06d}.npy")
         np.save(path, rows)
-        self.entries.append(path)
-        self._owned.append(path)
-
-    def record_segment(self, path: str) -> None:
         self.entries.append(path)
 
     def close(self) -> None:
-        for path in self._owned:
+        for path in self.entries:
             try:
                 os.unlink(path)
             except OSError:  # pragma: no cover - already gone
@@ -492,7 +481,6 @@ class _ReplayJournal:
             os.rmdir(self._dir)
         except OSError:  # pragma: no cover - non-empty/missing
             pass
-        self._owned = []
         self.entries = []
 
 
@@ -1291,58 +1279,6 @@ class ShardedDetector:
         self._buffered = 0
         self._dispatch(rows)
 
-    def process_segment(
-        self, path: str, strings: StringTable, sigs: SignatureTable
-    ) -> None:
-        """Detect one spilled segment file in stream order.
-
-        Raw ``.npy`` segments broadcast as a path: every worker maps the
-        file read-only and gathers its shard without the parent staging
-        a copy.  Compressed ``.npz`` segments (and any segment under
-        sampling, which must be filtered parent-side) route through the
-        normal slab path.
-        """
-        if self._finalized:
-            raise RuntimeError("detector already finalized")
-        self._bind_tables(strings, sigs)
-        self.flush()  # keep stream order: buffered rows ship first
-        if path.endswith(".npy"):
-            rows = np.load(path, mmap_mode="r")
-        else:
-            with np.load(path) as data:
-                rows = data["rows"]
-        if rows.shape[0] == 0:
-            return
-        if (
-            self.sampler is not None
-            or not path.endswith(".npy")
-            or self._degraded is not None
-        ):
-            self._dispatch(np.asarray(rows))
-            return
-        self._ensure_workers()
-        self._bookkeep(rows)
-        names_sfx, sigs_sfx = self._suffixes(rows)
-        self.shipped_events += rows.shape[0]
-        if self._tracer is not None:
-            self._tracer.complete(
-                "segment.ship", "detect", self._tracer.now(), 0,
-                args={"path": path, "rows": int(rows.shape[0])},
-            )
-        if self._metrics is not None:
-            self._metrics.counter(
-                "detect.segments_shipped", "spill segments broadcast by path"
-            ).inc()
-            self._metrics.counter(
-                "detect.shipped_events", "event rows shipped to workers"
-            ).inc(int(rows.shape[0]))
-        if self._journal is not None:
-            self._journal.record_segment(path)
-        for task_q in self._task_qs:
-            task_q.put(("npy", path, names_sfx, sigs_sfx))
-        self._names_pub = self._names_sent
-        self._sigs_pub = self._sigs_sent
-
     def _bookkeep(self, rows: np.ndarray) -> None:
         kinds = rows[:, COL_KIND]
         kind_counts = np.bincount(kinds, minlength=K_FREE + 1)
@@ -1584,22 +1520,3 @@ class ShardedDetector:
             buffered + slab_bytes + tables + self.store.memory_bytes()
             + self.worker_memory_bytes
         )
-
-
-def detect_spilled_trace(sink, detector) -> None:
-    """Stream a recorded trace sink through a detector, in order.
-
-    A :class:`ShardedDetector` consumes raw-``.npy`` spill segments by
-    path (workers map them zero-copy); every other (sink, detector)
-    pairing falls back to ordinary chunk iteration.
-    """
-    segment_paths = getattr(sink, "segment_paths", None)
-    if isinstance(detector, ShardedDetector) and segment_paths:
-        strings, sigs = sink.strings, sink.sigs
-        for path in segment_paths:
-            detector.process_segment(path, strings, sigs)
-        for chunk in sink._resident:
-            detector.process_chunk(chunk)
-        return
-    for chunk in sink.iter_chunks():
-        detector.process_chunk(chunk)

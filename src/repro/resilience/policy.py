@@ -5,14 +5,16 @@ and an exponential backoff whose jitter is derived from a seed with
 splitmix64 — two runs with the same policy sleep the same amount, so
 recovery schedules are as reproducible as the detection itself.
 
-``RetryPolicy()`` (the engine default) supervises: worker failures are
-retried, then escalated, then degraded to in-process serial detection.
-``RetryPolicy.disabled()`` preserves the pre-supervision contract — any
-worker failure raises ``ShardedDetectionError`` — and is what
-``ShardedDetector`` uses when constructed without a policy, keeping the
-hot benchmark paths byte-for-byte on their old behavior. Either way the
-timeout fields replace the detector's former hardcoded 120 s done-queue
-wait and 30 s finalize join.
+``RetryPolicy()`` supervises: worker failures are retried, then
+escalated, then degraded to in-process serial detection.  The engine
+builds one only from a non-empty ``DiscoveryConfig.resilience``; a
+default sharded run passes no policy.  ``RetryPolicy.disabled()``
+preserves the pre-supervision contract — any worker failure raises
+``ShardedDetectionError`` — and is what ``ShardedDetector`` uses when
+constructed without a policy, keeping the hot benchmark paths
+byte-for-byte on their old behavior. Either way the timeout fields
+replace the detector's former hardcoded 120 s done-queue wait and 30 s
+finalize join.
 """
 
 from __future__ import annotations

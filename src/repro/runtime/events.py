@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+import zipfile
 from collections import deque
 from typing import Iterator, Optional
 
@@ -227,9 +228,6 @@ class EventChunk:
         """Zero-copy view of the rows as the :data:`EVENT_DTYPE` records."""
         return np.ascontiguousarray(self.rows).view(EVENT_DTYPE).reshape(-1)
 
-    def memory_mask(self) -> np.ndarray:
-        return self.rows[:, COL_KIND] <= K_WRITE
-
     def take(self, indices) -> "EventChunk":
         """Row subset (order-preserving) sharing both tables."""
         return EventChunk(self.rows[indices], self.strings, self.sigs)
@@ -354,17 +352,13 @@ class SpillingTraceSink:
     """Bounded-memory trace recorder: resident chunk window + npz spill.
 
     Keeps at most ``max_resident_chunks`` packed chunks in RAM; older
-    chunks are spilled to segment files, one chunk per segment, ``rows``
-    array only — the string and signature tables stay resident, they are
-    monotonic and far smaller than the rows.  ``compress=True`` (the
-    default) writes compressed ``.npz``; ``compress=False`` writes raw
-    ``.npy``, which consumers — notably the sharded detection workers —
-    can ``np.load(..., mmap_mode="r")`` zero-copy straight out of the page
-    cache instead of decompressing per segment (:attr:`segment_paths`
-    exposes the on-disk files).  :meth:`iter_chunks` re-iterates the full
-    trace in order, loading spilled segments lazily, so CU construction
-    and report generation no longer need the whole trace in memory.  The
-    VM hands over packed chunks and shares its tables.
+    chunks are spilled to compressed ``.npz`` segment files, one chunk
+    per segment, ``rows`` array only — the string and signature tables
+    stay resident, they are monotonic and far smaller than the rows.
+    :meth:`iter_chunks` re-iterates the full trace in order, loading
+    spilled segments lazily, so CU construction and report generation
+    no longer need the whole trace in memory.  The VM hands over packed
+    chunks and shares its tables.
     """
 
     def __init__(
@@ -372,12 +366,10 @@ class SpillingTraceSink:
         max_resident_chunks: int = 64,
         *,
         spill_dir: Optional[str] = None,
-        compress: bool = True,
     ) -> None:
         if max_resident_chunks < 1:
             raise ValueError("need at least one resident chunk")
         self.max_resident_chunks = max_resident_chunks
-        self.compress = compress
         self.n_events = 0
         self.n_spilled_chunks = 0
         self.spilled_bytes = 0
@@ -410,16 +402,11 @@ class SpillingTraceSink:
         return self._dir
 
     def _spill(self, chunk: EventChunk) -> None:
-        ext = "npz" if self.compress else "npy"
         path = os.path.join(
-            self._ensure_dir(), f"segment-{len(self._segments):06d}.{ext}"
+            self._ensure_dir(), f"segment-{len(self._segments):06d}.npz"
         )
         with open(path, "wb") as handle:
-            if self.compress:
-                np.savez_compressed(handle, rows=chunk.rows)
-            else:
-                # raw .npy: a plain array dump, np.load(mmap_mode="r")-able
-                np.save(handle, chunk.rows)
+            np.savez_compressed(handle, rows=chunk.rows)
         self._segments.append(path)
         self.n_spilled_chunks += 1
         self.spilled_bytes += os.path.getsize(path)
@@ -442,24 +429,12 @@ class SpillingTraceSink:
     def resident_chunks(self) -> int:
         return len(self._resident)
 
-    @property
-    def segment_paths(self) -> tuple:
-        """Spilled segment files, in trace order (resident chunks excluded)."""
-        return tuple(self._segments)
-
     def iter_chunks(self) -> Iterator[EventChunk]:
-        """All chunks in arrival order; spilled segments load lazily.
-
-        Raw ``.npy`` segments are memory-mapped read-only — iterating a
-        spilled trace touches only the pages a consumer actually reads.
-        """
+        """All chunks in arrival order; spilled segments load lazily."""
         strings, sigs = self.strings, self.sigs
         for path in self._segments:
-            if path.endswith(".npy"):
-                yield EventChunk(np.load(path, mmap_mode="r"), strings, sigs)
-            else:
-                with np.load(path) as data:
-                    yield EventChunk(data["rows"], strings, sigs)
+            with np.load(path) as data:
+                yield EventChunk(data["rows"], strings, sigs)
         yield from self._resident
 
     def __len__(self) -> int:
@@ -504,25 +479,34 @@ class TraceLayoutError(ValueError):
 def save_trace(sink, path: str) -> None:
     """Persist a recorded trace (any sink with ``iter_chunks``) as one npz.
 
-    Layout: ``strings`` (unicode array, slot 0 = None), the signature
-    table as ``sig_lengths`` + ``sig_pairs`` (see
-    :meth:`SignatureTable.to_arrays`), and ``rows_000000...`` one array
-    per chunk, preserving chunk boundaries.  A :class:`TraceSink` writes
-    its chunks as they rest (int32 where they fit), so saving never
-    holds a widened copy of the trace.
+    Layout: ``rows_000000...`` one array per chunk, preserving chunk
+    boundaries, then ``strings`` (unicode array, slot 0 = None) and the
+    signature table as ``sig_lengths`` + ``sig_pairs`` (see
+    :meth:`SignatureTable.to_arrays`), the members ``np.savez_compressed``
+    writes.  Each array goes into the archive as it is read, so saving a
+    :class:`SpillingTraceSink` loads one spilled segment at a time, and a
+    :class:`TraceSink` writes its chunks as they rest (int32 where they
+    fit), never a widened copy.
     """
     chunks = (
         sink._resting if isinstance(sink, TraceSink) else sink.iter_chunks()
     )
-    arrays: dict[str, np.ndarray] = {}
     strings, sigs = StringTable(), SignatureTable()
-    for i, chunk in enumerate(chunks):
-        strings, sigs = chunk.strings, chunk.sigs
-        arrays[f"rows_{i:06d}"] = chunk.rows
-    arrays["strings"] = strings.to_array()
-    arrays["sig_lengths"], arrays["sig_pairs"] = sigs.to_arrays()
-    with open(path, "wb") as handle:
-        np.savez_compressed(handle, **arrays)
+    with zipfile.ZipFile(
+        path, "w", compression=zipfile.ZIP_DEFLATED, allowZip64=True
+    ) as archive:
+
+        def put(name: str, array: np.ndarray) -> None:
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as out:
+                np.lib.format.write_array(out, array, allow_pickle=False)
+
+        for i, chunk in enumerate(chunks):
+            strings, sigs = chunk.strings, chunk.sigs
+            put(f"rows_{i:06d}", chunk.rows)
+        put("strings", strings.to_array())
+        sig_lengths, sig_pairs = sigs.to_arrays()
+        put("sig_lengths", sig_lengths)
+        put("sig_pairs", sig_pairs)
 
 
 def load_trace(path: str) -> TraceSink:

@@ -17,7 +17,8 @@ import pytest
 
 from repro.discovery.loops import analyze_loops
 from repro.engine import DiscoveryConfig, DiscoveryEngine
-from repro.profiler.backends import make_backend
+from repro.profiler.backends import SerialBackend
+from repro.profiler.parallel import ParallelProfiler
 from repro.profiler.serial import SerialProfiler
 from repro.profiler.shadow import (
     MAX_READS_PER_SLOT,
@@ -253,7 +254,7 @@ class TestBackendsAndConfig:
         module = workload.compile(1)
         results = {}
         for detect in ("loop", "vectorized"):
-            backend = make_backend("serial", detect=detect)
+            backend = SerialBackend(detect=detect)
             vm = VM(module, backend)
             vm.run(workload.entry)
             result = backend.finish()
@@ -265,44 +266,38 @@ class TestBackendsAndConfig:
 
     def test_unknown_detect_rejected(self):
         with pytest.raises(ValueError, match="detection core"):
-            make_backend("serial", detect="warp")
+            SerialBackend(detect="warp")
 
     def test_skipping_backend_falls_back_to_loop(self):
-        backend = make_backend("skipping", detect="vectorized")
+        backend = SerialBackend(skip_loops=True, detect="vectorized")
         assert backend.detect == "loop"
+        assert isinstance(backend.profiler, SerialProfiler)
 
     def test_parallel_backend_vectorized_workers(self):
         workload = get_workload("rotate")
         module = workload.compile(1)
-        stores = {}
+        results = {}
         for detect in ("loop", "vectorized"):
-            backend = make_backend(
-                "parallel", n_workers=4, detect=detect
-            )
-            vm = VM(module, backend)
+            profiler = ParallelProfiler(4, detect=detect)
+            vm = VM(module, profiler)
             vm.run(workload.entry)
-            result = backend.finish()
-            assert result.stats["detect"] == detect
-            stores[detect] = result.store.to_dict()
-        assert stores["loop"] == stores["vectorized"]
-
-    def test_custom_backend_without_detect_kwarg(self):
-        """A default config must not force detect onto custom backends."""
-        config = DiscoveryConfig()
-        assert "detect" not in config.resolved_backend_options()
-        assert (
-            config.replace(detect="loop").resolved_backend_options()[
-                "detect"
-            ]
-            == "loop"
-        )
+            store = profiler.finish()
+            assert all(
+                isinstance(w, VectorizedProfiler) is (detect == "vectorized")
+                for w in profiler.workers
+            )
+            results[detect] = (
+                store.to_dict(),
+                {r: c.to_dict() for r, c in profiler.control.items()},
+            )
+        assert results["loop"] == results["vectorized"]
 
     def test_config_round_trips_detect(self):
         config = DiscoveryConfig(source="int main() { return 0; }",
                                  detect="loop")
         restored = DiscoveryConfig.from_dict(config.to_dict())
         assert restored.detect == "loop"
-        assert restored.resolved_backend_options()["detect"] == "loop"
+        assert restored == config
         assert DiscoveryConfig().detect == "vectorized"
 
     def test_profile_stats_carry_detect_fields(self):

@@ -302,7 +302,7 @@ class TestVMLifetime:
         {},
         {"detect": "loop"},
         {"skip_loops": True},
-        {"backend": "parallel", "spill_trace": True},
+        {"spill_trace": True},
     ])
     def test_no_vm_outlives_the_profile_phase(self, monkeypatch, options):
         # the chunks carry the signature table, so neither the profile

@@ -1,4 +1,4 @@
-"""Columnar event pipeline: packing, chunking, spilling, backends.
+"""Columnar event pipeline: packing, chunking, spilling, the backend.
 
 The contract: chunk boundaries carry no meaning — every consumer builds
 bit-identical DependenceStore contents, control records, shadow
@@ -10,17 +10,21 @@ re-iterability.
 from __future__ import annotations
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.cu.topdown import TopDownBuilder
 from repro.engine import DiscoveryConfig, DiscoveryEngine
+from repro.engine import core as engine_core
 from repro.mir.lowering import compile_source
-from repro.profiler.backends import make_backend
+from repro.profiler.backends import SerialBackend
+from repro.profiler.parallel import ParallelProfiler
 from repro.profiler.pet import PETBuilder
 from repro.profiler.serial import SerialProfiler
 from repro.profiler.shadow import PerfectShadow, SignatureShadow
+from repro.profiler.sharded import ShardedDetector
 from repro.profiler.skipping import SkippingProfiler
 from repro.profiler.vectorized import VectorizedProfiler
 from repro.runtime.events import (
@@ -371,33 +375,38 @@ class TestSpillingTraceSink:
         assert next(restored.iter_chunks()).sigs.values == vm.sigs.values
         assert_sigs_decode(restored, vm)
 
-    def test_raw_npy_spill_roundtrip(self, tmp_path):
-        """compress=False spills raw mmap-loadable .npy segments."""
-        workload = get_workload(TEXTBOOK)
-        module = workload.compile(1)
-        full, _ = record(module, workload.entry, chunk_size=256)
-
-        spilling = SpillingTraceSink(
-            4, spill_dir=str(tmp_path), compress=False
-        )
-        vm = VM(module, spilling, chunk_size=256)
+    def test_save_streams_spilled_segments(self, tmp_path):
+        """Saving a spilling sink holds about one chunk at a time, not
+        the trace: each array goes into the archive as it is read."""
+        workload = get_workload("mandelbrot")
+        spilling = SpillingTraceSink(2, spill_dir=str(tmp_path / "spill"))
+        vm = VM(workload.compile(1), spilling)
         vm.run(workload.entry)
-        assert spilling.n_spilled_chunks > 0
-        paths = spilling.segment_paths
-        assert paths and all(p.endswith(".npy") for p in paths)
-        arr = np.load(paths[0], mmap_mode="r")
-        assert arr.ndim == 2 and arr.shape[0] > 0
-        assert np.array_equal(rows_of(spilling), rows_of(full))
-        # save/load still round-trips through the canonical npz artifact
-        path = tmp_path / "trace.npz"
-        spilling.save(str(path))
-        restored = load_trace(str(path))
-        assert np.array_equal(rows_of(restored), rows_of(full))
+        chunk_bytes = max(chunk.nbytes for chunk in spilling.iter_chunks())
+        assert spilling.n_events * EVENT_NBYTES > 20 * chunk_bytes
+        # the string and signature tables are converted whole; measure
+        # them on their own and bound what saving adds to them
+        tracemalloc.start()
+        try:
+            spilling.strings.to_array()
+            spilling.sigs.to_arrays()
+            tables_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            spilling.save(str(tmp_path / "trace.npz"))
+            save_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert save_peak - tables_peak < 4 * chunk_bytes
+        restored = load_trace(str(tmp_path / "trace.npz"))
+        assert np.array_equal(rows_of(restored), rows_of(spilling))
         assert_sigs_decode(restored, vm)
+        with np.load(str(tmp_path / "trace.npz")) as data:
+            rows = sorted(k for k in data.files if k.startswith("rows_"))
+            assert rows == [f"rows_{i:06d}" for i in range(len(rows))]
+            assert set(data.files) - set(rows) == {
+                "strings", "sig_lengths", "sig_pairs"
+            }
         spilling.close()
-        assert not any(
-            f.startswith("segment-") for f in os.listdir(tmp_path)
-        )
 
     def test_reloaded_spilled_trace_drives_cu_construction(self, tmp_path):
         """A spilled multi-segment trace, persisted and reloaded with
@@ -471,80 +480,125 @@ class TestEngineIntegration:
         assert DiscoveryResult.from_dict(data).to_dict() == data
 
 
+#: case -> (config overrides, a factory for the detection core they
+#: select, the ``profile_stats["detect"]`` it reports).  The supervision
+#: fields reach the sharded core only, and only when set.
+ENGINE_CORES = {
+    "default": ({}, VectorizedProfiler, "vectorized"),
+    "loop": (
+        {"detect": "loop"},
+        lambda: SerialProfiler(PerfectShadow()),
+        "loop",
+    ),
+    "sharded": (
+        {"detect": "sharded", "detect_workers": 2},
+        lambda: ShardedDetector(None, n_shards=2),
+        "sharded",
+    ),
+    "sharded-empty-resilience": (
+        {"detect": "sharded", "detect_workers": 2, "resilience": {}},
+        lambda: ShardedDetector(None, n_shards=2),
+        "sharded",
+    ),
+    "sharded-supervised": (
+        {"detect": "sharded", "detect_workers": 2,
+         "resilience": {"hang_timeout": 30.0},
+         "fault_plan": {"events": []}},
+        lambda: ShardedDetector(None, n_shards=2),
+        "sharded",
+    ),
+    "signature": (
+        {"signature_slots": 4096},
+        lambda: VectorizedProfiler(4096),
+        "vectorized",
+    ),
+    "skipping": (
+        {"skip_loops": True},
+        lambda: SkippingProfiler(SerialProfiler(PerfectShadow())),
+        "loop",
+    ),
+    "vectorized-ignores-supervision": (
+        {"resilience": {"hang_timeout": 30.0}, "fault_plan": {"events": []}},
+        VectorizedProfiler,
+        "vectorized",
+    ),
+}
+
+
+def _run_by_hand(core, workload):
+    """Drive ``core`` over ``workload`` and flush/merge it."""
+    inner = getattr(core, "inner", core)
+    try:
+        VM(workload.compile(1), core).run(workload.entry)
+        if isinstance(inner, ShardedDetector):
+            inner.finalize()
+        elif isinstance(inner, VectorizedProfiler):
+            inner.flush()
+    except BaseException:
+        if isinstance(inner, ShardedDetector):
+            inner.close()
+        raise
+    return inner
+
+
 class TestBackendRegistry:
-    def run_backend(self, name, **options):
+    """The engine's one backend, built from the config's own fields."""
+
+    @pytest.mark.parametrize("case", sorted(ENGINE_CORES))
+    def test_engine_builds_the_configured_core(self, monkeypatch, case):
+        options, build, detect = ENGINE_CORES[case]
         workload = get_workload(TEXTBOOK)
-        backend = make_backend(name, **options)
-        VM(workload.compile(1), backend).run(workload.entry)
-        return backend.finish()
+        built = []
+
+        class Recording(SerialBackend):
+            def __init__(self, **kwargs):
+                super().__init__(**kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(engine_core, "SerialBackend", Recording)
+        profile = DiscoveryEngine(config=DiscoveryConfig(
+            source=workload.source(1), name=TEXTBOOK, entry=workload.entry,
+            **options,
+        )).profile()
+        core = build()
+        by_hand = _run_by_hand(core, workload)
+        assert profile.store.to_dict() == by_hand.store.to_dict()
+        assert {r: c.to_dict() for r, c in profile.control.items()} == {
+            r: c.to_dict() for r, c in by_hand.control.items()
+        }
+        assert profile.stats["detect"] == detect
+        (backend,) = built
+        assert type(backend.profiler) is type(by_hand)
+        if options.get("skip_loops"):
+            assert profile.stats["skipped"] == core.stats.skipped > 0
+        else:
+            assert "skipped" not in profile.stats
+        if detect == "sharded":
+            # an empty ``resilience`` never reaches the detector: a
+            # default sharded run is unsupervised and journals nothing
+            detector = backend.profiler
+            assert detector.policy.supervise is bool(
+                options.get("resilience")
+            )
+            assert (detector.faults is None) is ("fault_plan" not in options)
 
     def test_serial_and_parallel_agree(self):
-        serial = self.run_backend("serial")
-        parallel = self.run_backend("parallel", n_workers=4)
-        assert serial.store.to_dict() == parallel.store.to_dict()
-        assert serial.stats["backend"] == "serial"
-        assert parallel.stats["backend"] == "parallel"
-        assert parallel.stats["n_workers"] == 4
-        assert {r.region_id for r in serial.control.values()} == {
-            r.region_id for r in parallel.control.values()
-        }
-
-    def test_signature_backend_defaults_slots(self):
-        result = self.run_backend("signature")
-        assert result.stats["backend"] == "signature"
-        assert "shadow_collisions" in result.stats
-
-    def test_skipping_backend_reports_skips(self):
-        result = self.run_backend("skipping")
-        assert "skip_stats" in result.extras
-        assert result.stats["skipped"] == result.extras["skip_stats"].skipped
-
-    def test_unknown_backend_is_loud(self):
-        with pytest.raises(ValueError, match="unknown profiler backend"):
-            make_backend("warp-drive")
-
-    def test_parallel_plus_skip_loops_fails_loudly(self):
-        config = DiscoveryConfig(
-            source="int main() { return 0; }",
-            backend="parallel",
-            skip_loops=True,
-        )
-        with pytest.raises(ValueError, match="skip_loops is not supported"):
-            DiscoveryEngine(config=config).profile()
-
-    def test_engine_backend_selection(self):
         workload = get_workload(TEXTBOOK)
-        serial = DiscoveryEngine(
-            config=DiscoveryConfig(source=workload.source(1))
-        ).run()
-        parallel = DiscoveryEngine(
-            config=DiscoveryConfig(
-                source=workload.source(1),
-                backend="parallel",
-                backend_options={"n_workers": 4},
-            )
-        ).run()
-        assert serial.store.to_dict() == parallel.store.to_dict()
+        module = workload.compile(1)
+        serial = SerialBackend()
+        VM(module, serial).run(workload.entry)
+        serial = serial.finish()
+        parallel = ParallelProfiler(4)
+        VM(module, parallel).run(workload.entry)
+        store = parallel.finish()
+        assert serial.store.to_dict() == store.to_dict()
+        assert parallel.report.n_workers == 4
+        assert {r: c.to_dict() for r, c in serial.control.items()} == {
+            r: c.to_dict() for r, c in parallel.control.items()
+        }
 
 
 class TestCLIPipelineFlags:
-    def test_discover_backend_flag_json(self, tmp_path, capsys):
-        from repro.cli import main
-
-        code = main([
-            "discover", "--workload", TEXTBOOK, "--backend", "parallel",
-            "--format", "json",
-        ])
-        assert code == 0
-        import json
-
-        data = json.loads(capsys.readouterr().out)
-        assert data["artifact"] == "discovery_result"
-        assert data["profile_stats"]["backend"] == "parallel"
-        assert set(data["timings"]) == {
-            "profile", "vm_compiled", "build_cus", "detect", "rank"
-        }
-
     def test_discover_spill_flags(self, capsys):
         from repro.cli import main
 
@@ -559,3 +613,17 @@ class TestCLIPipelineFlags:
         data = json.loads(capsys.readouterr().out)
         assert "chunk_format" not in data["profile_stats"]
         assert "spilled_chunks" in data["profile_stats"]
+
+    def test_discover_skip_loops_flag(self, capsys):
+        from repro.cli import main
+
+        code = main([
+            "discover", "--workload", TEXTBOOK, "--skip-loops",
+            "--format", "json",
+        ])
+        assert code == 0
+        import json
+
+        stats = json.loads(capsys.readouterr().out)["profile_stats"]
+        assert stats["detect"] == "loop"
+        assert stats["skipped"] > 0

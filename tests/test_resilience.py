@@ -195,17 +195,6 @@ class TestConfigPlumbing:
         assert again.resilience == {"hang_timeout": 3.0}
         assert again.fault_plan == config.fault_plan
 
-    def test_resolved_backend_options_gate_on_sharded(self):
-        base = dict(resilience={"hang_timeout": 3.0},
-                    fault_plan={"events": []})
-        sharded = DiscoveryConfig(detect="sharded", **base)
-        options = sharded.resolved_backend_options()
-        assert options["resilience"] == {"hang_timeout": 3.0}
-        assert options["fault_plan"] == {"events": []}
-        vectorized = DiscoveryConfig(detect="vectorized", **base)
-        options = vectorized.resolved_backend_options()
-        assert "resilience" not in options and "fault_plan" not in options
-
     def test_backend_rejects_resilience_off_sharded(self):
         from repro.profiler.backends import SerialBackend
 

@@ -23,7 +23,6 @@ from repro.profiler.sharded import (
     ShardedDetector,
     ShardSampler,
     canonical_frontier,
-    detect_spilled_trace,
     merge_frontiers,
     split_rows,
 )
@@ -37,11 +36,8 @@ from repro.runtime.events import (
     EventChunk,
     K_WRITE,
     N_COLS,
-    SpillingTraceSink,
     StringTable,
-    TraceSink,
 )
-from repro.runtime.interpreter import VM
 from repro.workloads import get_workload
 from tests.test_detect import (
     ALL_WORKLOADS,
@@ -239,71 +235,12 @@ class TestEngineAndConfig:
     def test_config_round_trip(self):
         config = DiscoveryConfig(
             detect="sharded", detect_workers=3, detect_sampling=0.25,
-            spill_compress=False,
         )
         restored = DiscoveryConfig.from_dict(config.to_dict())
+        assert restored.detect == "sharded"
         assert restored.detect_workers == 3
         assert restored.detect_sampling == 0.25
-        assert restored.spill_compress is False
-        options = restored.resolved_backend_options()
-        assert options["detect"] == "sharded"
-        assert options["detect_workers"] == 3
-        assert options["detect_sampling"] == 0.25
-
-    def test_non_sharded_config_omits_worker_options(self):
-        options = DiscoveryConfig().resolved_backend_options()
-        assert "detect_workers" not in options
-        assert "detect_sampling" not in options
-
-
-class TestSpilledSegments:
-    def _spill(self, tmp_path, compress):
-        workload = get_workload("histogram")
-        module = workload.compile(1)
-        sink = SpillingTraceSink(
-            4, spill_dir=str(tmp_path), compress=compress
-        )
-        vm = VM(module, sink, chunk_size=256)
-        vm.run(workload.entry)
-        assert sink.n_spilled_chunks > 0
-        return sink, vm
-
-    @pytest.mark.parametrize("compress", [False, True])
-    def test_spilled_detection_matches_resident(self, tmp_path, compress):
-        workload = get_workload("histogram")
-        module = workload.compile(1)
-        resident = TraceSink()
-        vm_ref = VM(module, resident, chunk_size=256)
-        vm_ref.run(workload.entry)
-        ref = vec_profile(resident)
-
-        sink, vm = self._spill(tmp_path, compress)
-        det = ShardedDetector(None, n_shards=2)
-        try:
-            detect_spilled_trace(sink, det)
-            det.finalize()
-        except BaseException:
-            det.close()
-            raise
-        assert state_of(det) == state_of(ref)
-        sink.close()
-
-    def test_spilled_sampling_routes_through_slabs(self, tmp_path):
-        sink, vm = self._spill(tmp_path, False)
-        det = ShardedDetector(
-            None, n_shards=2, sampling=0.5
-        )
-        try:
-            detect_spilled_trace(sink, det)
-            det.finalize()
-        except BaseException:
-            det.close()
-            raise
-        # sampling filters parent-side, so segments must have been
-        # re-routed through the slab path and counted by the sampler
-        assert det.sampler.total_events == sink.n_events
-        assert len(det.store) > 0
-        sink.close()
+        assert restored == config
 
 
 class TestMemoryAccounting:
