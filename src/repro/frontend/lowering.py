@@ -3,10 +3,12 @@
 Lowers the typed Python subset (see ``docs/FRONTEND.md``) to the same MIR
 the MiniC frontend produces, so every downstream phase — profiler, CU
 construction, dependence detection, suggestions, parallelize/validate —
-runs unchanged on real Python functions.  The contract is identical to
-:mod:`repro.mir.lowering`: every variable gets a memory home, every access
-is an instrumented ``load``/``store`` carrying the *original Python source
-line*, and control regions get ``enter``/``exit``/``iter`` markers.
+runs unchanged on real Python functions.  Both frontends build MIR through
+:class:`repro.mir.emit.MirEmitter`: every variable gets a memory home, every
+access is an instrumented ``load``/``store`` carrying the *original Python
+source line*, and control regions get ``enter``/``exit``/``iter`` markers.
+This module keeps what is Python's own: the AST walk, name resolution,
+type inference, the globals layout and the ``analyze()`` driver.
 
 Differences from the MiniC lowering, all driven by Python semantics:
 
@@ -15,10 +17,11 @@ Differences from the MiniC lowering, all driven by Python semantics:
   (which is what makes ``acc = 0.0`` inside a loop body privatizable,
   exactly like MiniC's ``float acc = 0.0``);
 * ``for i in range(...)`` evaluates its bounds *once, before* the loop
-  region (CPython semantics) into registers; the loop itself is emitted
-  in the canonical counted shape ``repro.parallelize.transforms`` expects
-  (constant init store, pure header, 3-instruction latch), so Python
-  loops are DOALL-transformable whenever the range starts at a constant;
+  region (CPython semantics) into registers; the loop itself goes through
+  the emitter's loop skeleton in the canonical counted shape
+  ``repro.parallelize.transforms`` expects (constant init store, pure
+  header, 3-instruction latch), so Python loops are DOALL-transformable
+  whenever the range starts at a constant;
 * arithmetic uses the Python-exact opcode variants (``//``, ``/f``,
   ``%%``, ``**``) so a lowered function computes bit-identical results to
   executing the original Python — the property the parallelize validator
@@ -35,7 +38,7 @@ address, so analyzing ``fn(a, b, n)`` needs no source-level harness.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.frontend.errors import FrontendError, unsupported
@@ -50,10 +53,9 @@ from repro.frontend.infer import (
     writes_name,
 )
 from repro.minic.sema import FuncInfo, SymbolTable, VarInfo
-from repro.mir.instructions import BINOPS, UNOPS, Instr, Opcode
-from repro.mir.module import Function, Module, Region
-
-Operand = tuple  # ('i', value) | ('r', idx)
+from repro.mir.emit import MirEmitter, Operand
+from repro.mir.instructions import Instr, Opcode
+from repro.mir.module import Module
 
 #: Python operator node -> MIR bin opcode string.  Division, floor
 #: division, modulo, and power use the Python-semantics variants.
@@ -89,19 +91,6 @@ class DriverSpec:
     entry: str
     args: tuple = ()
     name: str = "__analyze__"
-
-
-@dataclass
-class _LoopContext:
-    latch_label: int
-    exit_label: int
-
-
-@dataclass
-class _RegionVars:
-    declared: set = field(default_factory=set)
-    read: set = field(default_factory=set)
-    written: set = field(default_factory=set)
 
 
 @dataclass
@@ -152,7 +141,7 @@ def first_bindings(body: list) -> dict:
     return found
 
 
-class MirBuilder(ast.NodeVisitor):
+class MirBuilder(MirEmitter, ast.NodeVisitor):
     """Lowers one inferred Python module to a :class:`Module`.
 
     Statements dispatch through :meth:`ast.NodeVisitor.visit`; expressions
@@ -181,22 +170,15 @@ class MirBuilder(ast.NodeVisitor):
         self.engine = InferenceEngine(filename, self.const_env)
 
         self.symtab = SymbolTable()
-        self.module = Module(name, self.symtab)
+        super().__init__(Module(name, self.symtab))
         self._next_var_id = 0
-        self._next_region_id = 1
-        self._next_op_id = 0
         self._global_ids: dict[str, int] = {}
         self._driver_operands: list[Operand] = []
 
-        # per-function lowering state
-        self.func: Optional[Function] = None
+        # per-function name resolution
         self.sig: Optional[FuncSig] = None
-        self.block = None
         self._local_ids: dict[str, int] = {}
         self._declared_ids: set = set()
-        self._loop_stack: list[_LoopContext] = []
-        self._region_var_stack: list[_RegionVars] = []
-        self._region_stack: list[int] = []
 
     # ------------------------------------------------------------------
     # public entry
@@ -508,76 +490,6 @@ class MirBuilder(ast.NodeVisitor):
                 )
 
     # ------------------------------------------------------------------
-    # emission helpers (mirroring repro.mir.lowering)
-    # ------------------------------------------------------------------
-
-    def _new_reg(self) -> int:
-        reg = self.func.n_regs
-        self.func.n_regs += 1
-        return reg
-
-    def _new_op_id(self, instr: Instr) -> int:
-        op_id = self._next_op_id
-        self._next_op_id += 1
-        instr.op_id = op_id
-        self.module.mem_ops[op_id] = instr
-        return op_id
-
-    def _emit(self, instr: Instr) -> Instr:
-        self.block.append(instr)
-        return instr
-
-    def _start_block(self):
-        self.block = self.func.new_block()
-        return self.block
-
-    def _jump_to_new_block(self):
-        new = self.func.new_block()
-        if self.block.terminator is None:
-            self._emit(Instr(Opcode.JMP, a=new.label))
-        self.block = new
-        return new
-
-    def _record_read(self, var_id: int) -> None:
-        for rv in self._region_var_stack:
-            rv.read.add(var_id)
-
-    def _record_write(self, var_id: int) -> None:
-        for rv in self._region_var_stack:
-            rv.written.add(var_id)
-
-    def _record_decl(self, var_id: int) -> None:
-        if self._region_var_stack:
-            self._region_var_stack[-1].declared.add(var_id)
-
-    def _open_region(self, kind: str, start_line: int, end_line: int):
-        region = Region(
-            region_id=self._next_region_id,
-            kind=kind,
-            func=self.func.name if self.func else "<module>",
-            start_line=start_line,
-            end_line=end_line,
-            parent=self._region_stack[-1] if self._region_stack else None,
-        )
-        self._next_region_id += 1
-        self.module.add_region(region)
-        rv = _RegionVars()
-        self._region_stack.append(region.region_id)
-        self._region_var_stack.append(rv)
-        return region, rv
-
-    def _close_region(self, region: Region, rv: _RegionVars) -> None:
-        self._region_stack.pop()
-        self._region_var_stack.pop()
-        region.declared_vars = frozenset(rv.declared)
-        region.read_vars = frozenset(rv.read)
-        region.written_vars = frozenset(rv.written)
-        used = rv.read | rv.written
-        region.global_vars = frozenset(used - rv.declared)
-        if self._region_var_stack:
-            self._region_var_stack[-1].declared.update(rv.declared)
-
-    # ------------------------------------------------------------------
     # variable access
     # ------------------------------------------------------------------
 
@@ -590,65 +502,14 @@ class MirBuilder(ast.NodeVisitor):
             node, f"undefined variable {name!r}", self.filename
         )
 
-    def _scalar_memref(self, info: VarInfo):
-        if info.kind == "global":
-            return ("g", self.module.global_offsets[info.var_id])
-        return ("f", self.func.frame_slots[info.var_id])
-
-    def _load_scalar(self, info: VarInfo, line: int) -> Operand:
-        dest = self._new_reg()
-        load = Instr(
-            Opcode.LOAD,
-            dest=dest,
-            a=self._scalar_memref(info),
-            line=line,
-            var=info.name,
-            var_id=info.var_id,
-        )
-        self._new_op_id(load)
-        self._emit(load)
-        self._record_read(info.var_id)
-        return ("r", dest)
-
-    def _store_scalar(self, info: VarInfo, line: int, value: Operand):
+    def _store(self, info: VarInfo, line: int, value: Operand, memref=None):
         if info.kind == "local" and info.var_id not in self._declared_ids:
             # Python locals are function-scoped; the region of the
             # lexically-first assignment is the declaration region, which
             # is what makes loop-body temporaries privatizable.
             self._declared_ids.add(info.var_id)
             self._record_decl(info.var_id)
-        store = Instr(
-            Opcode.STORE,
-            a=self._scalar_memref(info),
-            b=value,
-            line=line,
-            var=info.name,
-            var_id=info.var_id,
-        )
-        self._new_op_id(store)
-        self._emit(store)
-        self._record_write(info.var_id)
-
-    def _array_base(self, info: VarInfo, node: ast.AST) -> Operand:
-        if info.kind == "param":
-            index = [p.var_id for p in self.func.params].index(info.var_id)
-            return ("r", self.func.param_regs[index])
-        if info.kind == "global":
-            return ("i", self.module.global_offsets[info.var_id])
-        raise FrontendError.at(  # unreachable: locals are never arrays
-            node, f"{info.name!r} is not an array", self.filename
-        )
-
-    def _element_memref(self, info: VarInfo, idx: Operand, line: int):
-        if info.kind == "global" and idx[0] == "i":
-            return ("g", self.module.global_offsets[info.var_id] + idx[1])
-        base = self._array_base(info, None)
-        dest = self._new_reg()
-        space = "g" if base[0] == "i" else "r"
-        self._emit(
-            Instr(Opcode.ADDR, dest=dest, a=space, b=base[1], c=idx, line=line)
-        )
-        return ("a", dest)
+        super()._store(info, line, value, memref)
 
     def _subscript_parts(self, node: ast.Subscript):
         """(VarInfo, element memref) for ``name[index]``."""
@@ -671,100 +532,36 @@ class MirBuilder(ast.NodeVisitor):
 
     def _lower_function(self, node: ast.FunctionDef) -> None:
         finfo = self.symtab.functions[node.name]
-        sig = self.engine.sigs[node.name]
-        func = Function(node.name, finfo.params, finfo.return_type)
-        func.start_line = node.lineno
-        func.end_line = node.end_lineno or node.lineno
-        self.module.functions[node.name] = func
-        self.func = func
-        self.sig = sig
-        self._loop_stack = []
+        self.sig = self.engine.sigs[node.name]
         self._declared_ids = set()
-        self._local_ids = {
-            p.name: p.var_id for p in finfo.params
-        }
-        self._local_ids.update(
-            {v.name: v.var_id for v in finfo.local_vars}
-        )
-
-        region, rv = self._open_region(
-            "func", func.start_line, func.end_line
-        )
-        func.region_id = region.region_id
-
-        # Frame layout: scalar params and all locals get slots; array
-        # params get an incoming base-address register (MiniC contract).
-        func.n_regs = len(finfo.params)
-        offset = 0
-        for i, pinfo in enumerate(finfo.params):
-            if pinfo.is_array:
-                func.param_regs.append(i)
-            else:
-                func.param_regs.append(None)
-                func.frame_slots[pinfo.var_id] = offset
-                offset += 1
-        for linfo in finfo.local_vars:
-            func.frame_slots[linfo.var_id] = offset
-            offset += linfo.size
-        func.frame_size = offset
-
-        self._start_block()
-        # Prologue: spill scalar arguments into their frame slots
-        # (instrumented writes, as in the MiniC lowering).
-        for i, pinfo in enumerate(finfo.params):
-            if not pinfo.is_array:
-                store = Instr(
-                    Opcode.STORE,
-                    a=("f", func.frame_slots[pinfo.var_id]),
-                    b=("r", i),
-                    line=pinfo.decl_line,
-                    var=pinfo.name,
-                    var_id=pinfo.var_id,
-                )
-                self._new_op_id(store)
-                self._emit(store)
-                self._record_write(pinfo.var_id)
-            self._record_decl(pinfo.var_id)
-
-        for stmt in node.body:
-            self.visit(stmt)
-
-        if self.block.terminator is None:
-            self._emit(Instr(Opcode.RET, a=None, line=func.end_line))
-
-        self._close_region(region, rv)
-        func.finalize()
-        self.func = None
+        self._local_ids = {p.name: p.var_id for p in finfo.params}
+        self._local_ids.update({v.name: v.var_id for v in finfo.local_vars})
+        with self._function(
+            node.name,
+            finfo.params,
+            finfo.local_vars,
+            finfo.return_type,
+            node.lineno,
+            node.end_lineno or node.lineno,
+        ):
+            self._lower_body(node.body)
         self.sig = None
-        self.block = None
 
     def _lower_driver(self) -> None:
         driver = self.driver
-        func = Function(driver.name, [], "int")
-        self.module.functions[driver.name] = func
-        self.func = func
-        self._loop_stack = []
-        region, rv = self._open_region("func", 0, 0)
-        func.region_id = region.region_id
-        self._start_block()
-        dest = self._new_reg()
-        self._emit(
-            Instr(
-                Opcode.CALL,
-                dest=dest,
-                a=driver.entry,
-                b=list(self._driver_operands),
+        with self._function(driver.name, [], [], "int"):
+            result = self._emit_call(
+                Opcode.CALL, driver.entry, list(self._driver_operands), 0
             )
-        )
-        self._emit(Instr(Opcode.RET, a=("r", dest)))
-        self._close_region(region, rv)
-        func.finalize()
-        self.func = None
-        self.block = None
+            self._emit(Instr(Opcode.RET, a=result))
 
     # ------------------------------------------------------------------
     # statements (NodeVisitor dispatch)
     # ------------------------------------------------------------------
+
+    def _lower_body(self, stmts) -> None:
+        for stmt in stmts:
+            self.visit(stmt)
 
     def generic_visit(self, node):
         raise unsupported(
@@ -816,20 +613,10 @@ class MirBuilder(ast.NodeVisitor):
                     "rebinding an array variable",
                     self.filename,
                 )
-            self._store_scalar(info, node.lineno, value)
+            self._store(info, node.lineno, value)
         elif isinstance(target, ast.Subscript):
             info, memref = self._subscript_parts(target)
-            store = Instr(
-                Opcode.STORE,
-                a=memref,
-                b=value,
-                line=node.lineno,
-                var=info.name,
-                var_id=info.var_id,
-            )
-            self._new_op_id(store)
-            self._emit(store)
-            self._record_write(info.var_id)
+            self._store(info, node.lineno, value, memref)
         else:
             raise unsupported(node, "assignment target", self.filename)
 
@@ -842,7 +629,7 @@ class MirBuilder(ast.NodeVisitor):
             return None  # bare `x: int` declares nothing in MIR
         value = self._expr(node.value)
         info = self._var_info(node.target.id, node.target)
-        self._store_scalar(info, node.lineno, value)
+        self._store(info, node.lineno, value)
 
     def visit_AugAssign(self, node):
         op = BIN_OP_MAP.get(type(node.op))
@@ -854,107 +641,35 @@ class MirBuilder(ast.NodeVisitor):
             )
         target = node.target
         if isinstance(target, ast.Name):
-            info = self._var_info(target.id, target)
-            current = self._load_scalar(info, node.lineno)
-            rhs = self._expr(node.value)
-            value = self._binop(op, current, rhs, node.lineno)
-            self._store_scalar(info, node.lineno, value)
+            info, memref = self._var_info(target.id, target), None
         elif isinstance(target, ast.Subscript):
             # evaluate the element address once (CPython semantics)
             info, memref = self._subscript_parts(target)
-            dest = self._new_reg()
-            load = Instr(
-                Opcode.LOAD,
-                dest=dest,
-                a=memref,
-                line=node.lineno,
-                var=info.name,
-                var_id=info.var_id,
-            )
-            self._new_op_id(load)
-            self._emit(load)
-            self._record_read(info.var_id)
-            rhs = self._expr(node.value)
-            value = self._binop(op, ("r", dest), rhs, node.lineno)
-            store = Instr(
-                Opcode.STORE,
-                a=memref,
-                b=value,
-                line=node.lineno,
-                var=info.name,
-                var_id=info.var_id,
-            )
-            self._new_op_id(store)
-            self._emit(store)
-            self._record_write(info.var_id)
         else:
             raise unsupported(
                 node, "augmented assignment target", self.filename
             )
+        rhs = lambda: self._expr(node.value)  # noqa: E731
+        self._update(info, op, rhs, node.lineno, memref)
 
     def visit_If(self, node):
-        end_line = node.end_lineno or node.lineno
-        region, rv = self._open_region("branch", node.lineno, end_line)
-        self._emit(Instr(Opcode.ENTER, a=region.region_id, line=node.lineno))
-        cond = self._expr(node.test)
-        then_block = self.func.new_block()
-        merge_block = self.func.new_block()
-        if node.orelse:
-            else_block = self.func.new_block()
-            self._emit(
-                Instr(Opcode.BR, a=cond, b=then_block.label,
-                      c=else_block.label)
-            )
-        else:
-            self._emit(
-                Instr(Opcode.BR, a=cond, b=then_block.label,
-                      c=merge_block.label)
-            )
-        self.block = then_block
-        for inner in node.body:
-            self.visit(inner)
-        if self.block.terminator is None:
-            self._emit(Instr(Opcode.JMP, a=merge_block.label))
-        if node.orelse:
-            self.block = else_block
-            for inner in node.orelse:
-                self.visit(inner)
-            if self.block.terminator is None:
-                self._emit(Instr(Opcode.JMP, a=merge_block.label))
-        self.block = merge_block
-        self._emit(Instr(Opcode.EXIT, a=region.region_id, line=end_line))
-        self._close_region(region, rv)
+        self._branch(
+            node.lineno,
+            node.end_lineno or node.lineno,
+            lambda: self._expr(node.test),
+            node.body,
+            node.orelse or None,
+        )
 
     def visit_While(self, node):
         if node.orelse:
             raise unsupported(node, "while/else", self.filename)
-        end_line = node.end_lineno or node.lineno
-        region, rv = self._open_region("loop", node.lineno, end_line)
-        region.iter_var = None
-        self._emit(Instr(Opcode.ENTER, a=region.region_id, line=node.lineno))
-        header = self._jump_to_new_block()
-        body_block = self.func.new_block()
-        latch_block = self.func.new_block()
-        exit_block = self.func.new_block()
-        cond = self._expr(node.test)
-        self._emit(
-            Instr(Opcode.BR, a=cond, b=body_block.label, c=exit_block.label)
+        self._loop(
+            node.lineno,
+            node.end_lineno or node.lineno,
+            node.body,
+            cond=lambda: self._expr(node.test),
         )
-        self._loop_stack.append(
-            _LoopContext(latch_block.label, exit_block.label)
-        )
-        self.block = body_block
-        for inner in node.body:
-            self.visit(inner)
-        if self.block.terminator is None:
-            self._emit(Instr(Opcode.JMP, a=latch_block.label))
-        self.block = latch_block
-        self._emit(Instr(Opcode.ITER, a=region.region_id, line=node.lineno))
-        self._emit(Instr(Opcode.JMP, a=header.label))
-        self._loop_stack.pop()
-        self.block = exit_block
-        self._emit(Instr(Opcode.EXIT, a=region.region_id, line=end_line))
-        self._close_region(region, rv)
 
     def visit_For(self, node):
         if node.orelse:
@@ -1001,85 +716,54 @@ class MirBuilder(ast.NodeVisitor):
         )
         stop_op = self._expr(stop_node)
 
-        end_line = node.end_lineno or node.lineno
-        region, rv = self._open_region("loop", node.lineno, end_line)
         info = self._var_info(node.target.id, node.target)
-        region.iter_var = info.var_id
-        region.iter_var_written_in_body = any(
-            writes_name(s, node.target.id) for s in node.body
+        line = node.lineno
+        # the counted shape: `i = start` after ENTER, a header that only
+        # compares the counter with the stop register, `i += step` in the
+        # latch
+        self._loop(
+            line,
+            node.end_lineno or line,
+            node.body,
+            cond=lambda: self._binop(
+                "<" if step > 0 else ">",
+                self._load(info, line),
+                stop_op,
+                line,
+            ),
+            init=lambda: self._store(info, line, start_op),
+            step=lambda: self._update(info, "+", lambda: ("i", step), line),
+            iter_var=info.var_id,
+            iter_var_written_in_body=any(
+                writes_name(s, node.target.id) for s in node.body
+            ),
         )
-        self._emit(Instr(Opcode.ENTER, a=region.region_id, line=node.lineno))
-        # canonical counted shape: init store directly after ENTER, then
-        # the jump into the pure header (see transforms._loop_shape)
-        self._store_scalar(info, node.lineno, start_op)
-        header = self._jump_to_new_block()
-        body_block = self.func.new_block()
-        latch_block = self.func.new_block()
-        exit_block = self.func.new_block()
-        current = self._load_scalar(info, node.lineno)
-        cond = self._binop(
-            "<" if step > 0 else ">", current, stop_op, node.lineno
-        )
-        self._emit(
-            Instr(Opcode.BR, a=cond, b=body_block.label, c=exit_block.label)
-        )
-        self._loop_stack.append(
-            _LoopContext(latch_block.label, exit_block.label)
-        )
-        self.block = body_block
-        for inner in node.body:
-            self.visit(inner)
-        if self.block.terminator is None:
-            self._emit(Instr(Opcode.JMP, a=latch_block.label))
-        self.block = latch_block
-        current = self._load_scalar(info, node.lineno)
-        nxt = self._binop("+", current, ("i", step), node.lineno)
-        self._store_scalar(info, node.lineno, nxt)
-        self._emit(Instr(Opcode.ITER, a=region.region_id, line=node.lineno))
-        self._emit(Instr(Opcode.JMP, a=header.label))
-        self._loop_stack.pop()
-        self.block = exit_block
-        self._emit(Instr(Opcode.EXIT, a=region.region_id, line=end_line))
-        self._close_region(region, rv)
 
     def visit_Return(self, node):
         operand = (
             self._expr(node.value) if node.value is not None else None
         )
-        self._emit(Instr(Opcode.RET, a=operand, line=node.lineno))
-        self._start_block()  # dead block for any trailing code
+        self._terminate(Instr(Opcode.RET, a=operand, line=node.lineno))
 
     def visit_Break(self, node):
-        if not self._loop_stack:
-            raise FrontendError.at(
-                node, "break outside a loop", self.filename
-            )
-        self._emit(Instr(Opcode.JMP, a=self._loop_stack[-1].exit_label))
-        self._start_block()
+        self._terminate(Instr(Opcode.JMP, a=self._innermost(node).exit_label))
 
     def visit_Continue(self, node):
+        self._terminate(
+            Instr(Opcode.JMP, a=self._innermost(node).latch_label)
+        )
+
+    def _innermost(self, node):
         if not self._loop_stack:
+            word = type(node).__name__.lower()
             raise FrontendError.at(
-                node, "continue outside a loop", self.filename
+                node, f"{word} outside a loop", self.filename
             )
-        self._emit(Instr(Opcode.JMP, a=self._loop_stack[-1].latch_label))
-        self._start_block()
+        return self._loop_stack[-1]
 
     # ------------------------------------------------------------------
     # expressions
     # ------------------------------------------------------------------
-
-    def _binop(self, op: str, left: Operand, right: Operand, line: int):
-        if left[0] == "i" and right[0] == "i":
-            try:
-                return ("i", BINOPS[op](left[1], right[1]))
-            except (ZeroDivisionError, ValueError, OverflowError):
-                pass  # fold nothing; fail at runtime like CPython would
-        dest = self._new_reg()
-        self._emit(
-            Instr(Opcode.BIN, dest=dest, a=op, b=left, c=right, line=line)
-        )
-        return ("r", dest)
 
     def _expr(self, node: ast.expr) -> Operand:
         if isinstance(node, ast.Constant):
@@ -1094,23 +778,11 @@ class MirBuilder(ast.NodeVisitor):
         if isinstance(node, ast.Name):
             info = self._var_info(node.id, node)
             if info.is_array:
-                return self._array_base(info, node)
-            return self._load_scalar(info, node.lineno)
+                return self._array_base(info, node.lineno)
+            return self._load(info, node.lineno)
         if isinstance(node, ast.Subscript):
             info, memref = self._subscript_parts(node)
-            dest = self._new_reg()
-            load = Instr(
-                Opcode.LOAD,
-                dest=dest,
-                a=memref,
-                line=node.lineno,
-                var=info.name,
-                var_id=info.var_id,
-            )
-            self._new_op_id(load)
-            self._emit(load)
-            self._record_read(info.var_id)
-            return ("r", dest)
+            return self._load(info, node.lineno, memref)
         if isinstance(node, ast.BinOp):
             op = BIN_OP_MAP.get(type(node.op))
             if op is None:
@@ -1134,15 +806,7 @@ class MirBuilder(ast.NodeVisitor):
                     f"operator {type(node.op).__name__}",
                     self.filename,
                 )
-            operand = self._expr(node.operand)
-            if operand[0] == "i":
-                return ("i", UNOPS[op](operand[1]))
-            dest = self._new_reg()
-            self._emit(
-                Instr(Opcode.UN, dest=dest, a=op, b=operand,
-                      line=node.lineno)
-            )
-            return ("r", dest)
+            return self._unop(op, self._expr(node.operand), node.lineno)
         if isinstance(node, ast.BoolOp):
             return self._bool_op(node)
         if isinstance(node, ast.Compare):
@@ -1218,12 +882,9 @@ class MirBuilder(ast.NodeVisitor):
             ):
                 builtin, _, _ = MATH_BUILTINS[func.attr]
                 args = [self._expr(arg) for arg in node.args]
-                dest = self._new_reg() if want_value else None
-                self._emit(
-                    Instr(Opcode.CALLB, dest=dest, a=builtin, b=args,
-                          line=line)
+                return self._emit_call(
+                    Opcode.CALLB, builtin, args, line, want_value
                 )
-                return ("r", dest) if dest is not None else ("i", 0)
             raise unsupported(
                 node, "method / attribute call", self.filename,
                 hint="only math.<fn> attribute calls are lowered",
@@ -1233,11 +894,7 @@ class MirBuilder(ast.NodeVisitor):
         name = func.id
         if name in self.symtab.functions:
             args = [self._call_arg(arg) for arg in node.args]
-            dest = self._new_reg() if want_value else None
-            self._emit(
-                Instr(Opcode.CALL, dest=dest, a=name, b=args, line=line)
-            )
-            return ("r", dest) if dest is not None else ("i", 0)
+            return self._emit_call(Opcode.CALL, name, args, line, want_value)
         if name in PY_BUILTINS:
             return self._py_builtin(node, name, want_value)
         raise FrontendError.at(
@@ -1252,7 +909,7 @@ class MirBuilder(ast.NodeVisitor):
         if isinstance(arg, ast.Name):
             info = self._var_info(arg.id, arg)
             if info.is_array:
-                return self._array_base(info, arg)
+                return self._array_base(info, arg.lineno)
         return self._expr(arg)
 
     def _py_builtin(self, node: ast.Call, name: str, want_value: bool):
@@ -1281,30 +938,15 @@ class MirBuilder(ast.NodeVisitor):
             return ("i", info.array_size)
         if name == "print":
             args = [self._expr(arg) for arg in node.args]
-            dest = self._new_reg() if want_value else None
-            self._emit(
-                Instr(Opcode.CALLB, dest=dest, a="print", b=args, line=line)
-            )
-            return ("r", dest) if dest is not None else ("i", 0)
+            return self._emit_call(Opcode.CALLB, "print", args, line,
+                                   want_value)
         if name == "bool":
             value = self._expr(node.args[0])
             return self._binop("!=", value, ("i", 0), line)
-        if name in ("int", "float"):
-            builtin = "__int" if name == "int" else "__float"
+        if name in ("int", "float", "abs"):
+            builtin = {"int": "__int", "float": "__float"}.get(name, name)
             value = self._expr(node.args[0])
-            dest = self._new_reg()
-            self._emit(
-                Instr(Opcode.CALLB, dest=dest, a=builtin, b=[value],
-                      line=line)
-            )
-            return ("r", dest)
-        if name == "abs":
-            value = self._expr(node.args[0])
-            dest = self._new_reg()
-            self._emit(
-                Instr(Opcode.CALLB, dest=dest, a="abs", b=[value], line=line)
-            )
-            return ("r", dest)
+            return self._emit_call(Opcode.CALLB, builtin, [value], line)
         if name == "pow":
             left = self._expr(node.args[0])
             right = self._expr(node.args[1])
@@ -1313,12 +955,9 @@ class MirBuilder(ast.NodeVisitor):
             result = self._expr(node.args[0])
             for arg in node.args[1:]:  # n-ary folds to binary builtins
                 value = self._expr(arg)
-                dest = self._new_reg()
-                self._emit(
-                    Instr(Opcode.CALLB, dest=dest, a=name,
-                          b=[result, value], line=line)
+                result = self._emit_call(
+                    Opcode.CALLB, name, [result, value], line
                 )
-                result = ("r", dest)
             return result
         raise unsupported(node, f"builtin {name}", self.filename)
 

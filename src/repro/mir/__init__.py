@@ -10,10 +10,15 @@ register machine over a flat word-addressed memory, with region markers
 Pipeline: MiniC AST --(:mod:`repro.mir.lowering`)--> :class:`Module` of
 :class:`Function` s of :class:`BasicBlock` s of :class:`Instr` uctions,
 then flattened to linear code arrays executed by :mod:`repro.runtime`.
+The Python frontend (:mod:`repro.frontend.lowering`) builds the same
+modules: both lowerings subclass :class:`MirEmitter`
+(:mod:`repro.mir.emit`), which owns registers, op ids, regions,
+loads/stores, the function frame and the branch and loop shapes.
 """
 
 from repro.mir.instructions import Instr, Opcode
 from repro.mir.module import BasicBlock, Function, Module, Region
+from repro.mir.emit import MirEmitter
 from repro.mir.lowering import lower, compile_source
 from repro.mir.cfg import CFG, build_cfg, dominators, postdominators
 from repro.mir.printer import format_function, format_module
@@ -25,6 +30,7 @@ __all__ = [
     "Function",
     "Module",
     "Region",
+    "MirEmitter",
     "lower",
     "compile_source",
     "CFG",

@@ -1,4 +1,4 @@
-"""AST → MIR lowering.
+"""MiniC AST → MIR lowering.
 
 Reproduces the clang ``-O0`` shape the paper instruments: every source
 variable gets a memory home (global segment or stack frame), every use is an
@@ -10,68 +10,46 @@ The lowering also performs the *static* half of the paper's Phase 1: for each
 control region it records which variables are declared inside (local) and
 which are referenced but declared outside (global to the region) — the
 ``globalVars`` sets consumed by the top-down CU construction (Algorithm 3).
+
+All of that MIR is built through :class:`repro.mir.emit.MirEmitter`, which
+the Python frontend (:mod:`repro.frontend.lowering`) shares; this module
+only walks the MiniC AST.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 from repro.minic import astnodes as ast
 from repro.minic.parser import parse
 from repro.minic.sema import SymbolTable, analyze
-from repro.mir.instructions import BINOPS, Instr, Opcode
-from repro.mir.module import BasicBlock, Function, Module, Region
-
-Operand = tuple  # ('i', value) | ('r', idx)
-
-
-@dataclass
-class _LoopContext:
-    """Targets for break/continue inside the innermost loop."""
-
-    latch_label: int
-    exit_label: int
+from repro.mir.emit import MirEmitter, Operand
+from repro.mir.instructions import Instr, Opcode
+from repro.mir.module import Module
 
 
-@dataclass
-class _RegionVars:
-    """Accumulated variable usage while lowering one region."""
-
-    declared: set[int] = field(default_factory=set)
-    read: set[int] = field(default_factory=set)
-    written: set[int] = field(default_factory=set)
-
-
-class Lowerer:
+class Lowerer(MirEmitter):
     """Lowers one analysed Program to a Module."""
 
     def __init__(self, program: ast.Program, symtab: SymbolTable, name: str) -> None:
+        super().__init__(Module(name, symtab))
         self.program = program
         self.symtab = symtab
-        self.module = Module(name, symtab)
-        self._next_region_id = 1
-        self._next_op_id = 0
-        # per-function state
-        self.func: Optional[Function] = None
-        self.block: Optional[BasicBlock] = None
-        self._loop_stack: list[_LoopContext] = []
-        self._region_var_stack: list[_RegionVars] = []
-        self._region_stack: list[int] = []
-
-    # ------------------------------------------------------------------
-    # public entry
-    # ------------------------------------------------------------------
 
     def lower(self) -> Module:
         self._layout_globals()
         for func_ast in self.program.functions:
-            self._lower_function(func_ast)
+            finfo = self.symtab.functions[func_ast.name]
+            with self._function(
+                func_ast.name,
+                finfo.params,
+                finfo.local_vars,
+                func_ast.return_type,
+                func_ast.line,
+                func_ast.end_line,
+            ):
+                self._lower_body(func_ast.body.body)
         return self.module
-
-    # ------------------------------------------------------------------
-    # layout
-    # ------------------------------------------------------------------
 
     def _layout_globals(self) -> None:
         offset = 0
@@ -85,191 +63,59 @@ class Lowerer:
         self.module.global_size = offset
 
     # ------------------------------------------------------------------
-    # small helpers
-    # ------------------------------------------------------------------
-
-    def _new_reg(self) -> int:
-        assert self.func is not None
-        reg = self.func.n_regs
-        self.func.n_regs += 1
-        return reg
-
-    def _new_op_id(self, instr: Instr) -> int:
-        op_id = self._next_op_id
-        self._next_op_id += 1
-        instr.op_id = op_id
-        self.module.mem_ops[op_id] = instr
-        return op_id
-
-    def _emit(self, instr: Instr) -> Instr:
-        assert self.block is not None
-        self.block.append(instr)
-        return instr
-
-    def _start_block(self) -> BasicBlock:
-        assert self.func is not None
-        self.block = self.func.new_block()
-        return self.block
-
-    def _jump_to_new_block(self) -> BasicBlock:
-        """Terminate the current block with a jump into a fresh block."""
-        assert self.block is not None
-        new = self.func.new_block()
-        if self.block.terminator is None:
-            self._emit(Instr(Opcode.JMP, a=new.label))
-        self.block = new
-        return new
-
-    def _record_read(self, var_id: int) -> None:
-        for rv in self._region_var_stack:
-            rv.read.add(var_id)
-
-    def _record_write(self, var_id: int) -> None:
-        for rv in self._region_var_stack:
-            rv.written.add(var_id)
-
-    def _record_decl(self, var_id: int) -> None:
-        if self._region_var_stack:
-            self._region_var_stack[-1].declared.add(var_id)
-
-    # ------------------------------------------------------------------
-    # regions
-    # ------------------------------------------------------------------
-
-    def _open_region(
-        self, kind: str, start_line: int, end_line: int
-    ) -> tuple[Region, _RegionVars]:
-        region = Region(
-            region_id=self._next_region_id,
-            kind=kind,
-            func=self.func.name if self.func else "<module>",
-            start_line=start_line,
-            end_line=end_line,
-            parent=self._region_stack[-1] if self._region_stack else None,
-        )
-        self._next_region_id += 1
-        self.module.add_region(region)
-        rv = _RegionVars()
-        self._region_stack.append(region.region_id)
-        self._region_var_stack.append(rv)
-        return region, rv
-
-    def _close_region(self, region: Region, rv: _RegionVars) -> None:
-        self._region_stack.pop()
-        self._region_var_stack.pop()
-        region.declared_vars = frozenset(rv.declared)
-        region.read_vars = frozenset(rv.read)
-        region.written_vars = frozenset(rv.written)
-        # variables used in the region but declared outside it
-        used = rv.read | rv.written
-        region.global_vars = frozenset(used - rv.declared)
-        # propagate declarations of nested scopes upward so an enclosing
-        # region sees nested declarations as its own locals
-        if self._region_var_stack:
-            self._region_var_stack[-1].declared.update(rv.declared)
-
-    # ------------------------------------------------------------------
-    # functions
-    # ------------------------------------------------------------------
-
-    def _lower_function(self, func_ast: ast.FuncDef) -> None:
-        finfo = self.symtab.functions[func_ast.name]
-        func = Function(func_ast.name, finfo.params, func_ast.return_type)
-        func.start_line = func_ast.line
-        func.end_line = func_ast.end_line
-        self.module.functions[func_ast.name] = func
-        self.func = func
-        self._loop_stack = []
-
-        region, rv = self._open_region("func", func_ast.line, func_ast.end_line)
-        func.region_id = region.region_id
-
-        # Frame layout: scalar params and all locals get slots; array params
-        # get an incoming base-address register.
-        func.n_regs = len(func_ast.params)  # regs 0..n-1 hold incoming args
-        offset = 0
-        for i, (param, pinfo) in enumerate(zip(func_ast.params, finfo.params)):
-            if pinfo.is_array:
-                func.param_regs.append(i)
-            else:
-                func.param_regs.append(None)
-                func.frame_slots[pinfo.var_id] = offset
-                offset += 1
-        for linfo in finfo.local_vars:
-            func.frame_slots[linfo.var_id] = offset
-            offset += linfo.size
-        func.frame_size = offset
-
-        self._start_block()
-        # Prologue: spill scalar arguments into their frame slots.  These are
-        # instrumented writes — the paper's CU rules put parameters in the
-        # read set; the profiler sees the argument stores as INIT writes.
-        for i, pinfo in enumerate(finfo.params):
-            if not pinfo.is_array:
-                slot = func.frame_slots[pinfo.var_id]
-                store = Instr(
-                    Opcode.STORE,
-                    a=("f", slot),
-                    b=("r", i),
-                    line=pinfo.decl_line,
-                    var=pinfo.name,
-                    var_id=pinfo.var_id,
-                )
-                self._new_op_id(store)
-                self._emit(store)
-                self._record_write(pinfo.var_id)
-                self._record_decl(pinfo.var_id)
-            else:
-                self._record_decl(pinfo.var_id)
-
-        for stmt in func_ast.body.body:
-            self._lower_stmt(stmt)
-
-        # Implicit return for void functions / fall-through.
-        if self.block.terminator is None:
-            self._emit(Instr(Opcode.RET, a=None, line=func_ast.end_line))
-
-        self._close_region(region, rv)
-        func.finalize()
-        self.func = None
-        self.block = None
-
-    # ------------------------------------------------------------------
     # statements
     # ------------------------------------------------------------------
 
+    def _lower_body(self, stmts) -> None:
+        for stmt in stmts:
+            self._lower_stmt(stmt)
+
     def _lower_stmt(self, stmt: ast.Stmt) -> None:
         if isinstance(stmt, ast.VarDecl):
-            self._lower_vardecl(stmt)
+            assert stmt.var_id is not None
+            self._record_decl(stmt.var_id)
+            if stmt.init is not None:
+                value = self._lower_expr(stmt.init)
+                self._store(self._info(stmt), stmt.line, value)
         elif isinstance(stmt, ast.Assign):
             self._lower_assign(stmt)
         elif isinstance(stmt, ast.ExprStmt):
             self._lower_expr(stmt.expr, want_value=False)
         elif isinstance(stmt, ast.If):
-            self._lower_if(stmt)
+            else_body = (
+                stmt.else_body.body if stmt.else_body is not None else None
+            )
+            self._branch(
+                stmt.line,
+                stmt.end_line,
+                lambda: self._lower_expr(stmt.cond),
+                stmt.then_body.body,
+                else_body,
+            )
         elif isinstance(stmt, ast.While):
-            self._lower_while(stmt)
+            self._loop(
+                stmt.line,
+                stmt.end_line,
+                stmt.body.body,
+                cond=lambda: self._lower_expr(stmt.cond),
+            )
         elif isinstance(stmt, ast.For):
             self._lower_for(stmt)
         elif isinstance(stmt, ast.Return):
             operand = (
                 self._lower_expr(stmt.value) if stmt.value is not None else None
             )
-            self._emit(Instr(Opcode.RET, a=operand, line=stmt.line))
-            self._start_block()  # dead block for any trailing code
-        elif isinstance(stmt, ast.Break):
+            self._terminate(Instr(Opcode.RET, a=operand, line=stmt.line))
+        elif isinstance(stmt, (ast.Break, ast.Continue)):
+            is_break = isinstance(stmt, ast.Break)
             if not self._loop_stack:
-                raise SyntaxError(f"line {stmt.line}: break outside loop")
-            self._emit(Instr(Opcode.JMP, a=self._loop_stack[-1].exit_label))
-            self._start_block()
-        elif isinstance(stmt, ast.Continue):
-            if not self._loop_stack:
-                raise SyntaxError(f"line {stmt.line}: continue outside loop")
-            self._emit(Instr(Opcode.JMP, a=self._loop_stack[-1].latch_label))
-            self._start_block()
+                word = "break" if is_break else "continue"
+                raise SyntaxError(f"line {stmt.line}: {word} outside loop")
+            loop = self._loop_stack[-1]
+            target = loop.exit_label if is_break else loop.latch_label
+            self._terminate(Instr(Opcode.JMP, a=target))
         elif isinstance(stmt, ast.Block):
-            for inner in stmt.body:
-                self._lower_stmt(inner)
+            self._lower_body(stmt.body)
         elif isinstance(stmt, ast.Lock):
             operand = self._lower_expr(stmt.lock_id)
             self._emit(Instr(Opcode.LOCK, a=operand, line=stmt.line))
@@ -282,116 +128,29 @@ class Lowerer:
         else:  # pragma: no cover - exhaustive
             raise NotImplementedError(type(stmt).__name__)
 
-    def _lower_vardecl(self, decl: ast.VarDecl) -> None:
-        assert decl.var_id is not None
-        self._record_decl(decl.var_id)
-        if decl.init is not None:
-            operand = self._lower_expr(decl.init)
-            self._store_scalar(decl.var_id, decl.name, decl.line, operand)
+    def _info(self, node):
+        """The symbol a resolved ``Var``/``VarDecl`` node names."""
+        return self.symtab.variables[node.var_id]
 
     def _lower_assign(self, stmt: ast.Assign) -> None:
         target = stmt.target
         if isinstance(target, ast.Var):
-            assert target.var_id is not None
-            if stmt.op == "=":
-                value = self._lower_expr(stmt.value)
-            else:
-                current = self._load_scalar(target.var_id, target.name, stmt.line)
-                rhs = self._lower_expr(stmt.value)
-                value = self._binop(stmt.op[:-1], current, rhs, stmt.line)
-            self._store_scalar(target.var_id, target.name, stmt.line, value)
+            info, memref = self._info(target), None
         else:  # Index target
-            base_info = self.symtab.variables[target.base.var_id]
+            info = self._info(target.base)
             idx = self._lower_expr(target.index)
-            memref = self._element_memref(target.base, idx, stmt.line)
-            if stmt.op == "=":
-                value = self._lower_expr(stmt.value)
-            else:
-                dest = self._new_reg()
-                load = Instr(
-                    Opcode.LOAD,
-                    dest=dest,
-                    a=memref,
-                    line=stmt.line,
-                    var=base_info.name,
-                    var_id=base_info.var_id,
-                )
-                self._new_op_id(load)
-                self._emit(load)
-                self._record_read(base_info.var_id)
-                rhs = self._lower_expr(stmt.value)
-                value = self._binop(stmt.op[:-1], ("r", dest), rhs, stmt.line)
-            store = Instr(
-                Opcode.STORE,
-                a=memref,
-                b=value,
-                line=stmt.line,
-                var=base_info.name,
-                var_id=base_info.var_id,
-            )
-            self._new_op_id(store)
-            self._emit(store)
-            self._record_write(base_info.var_id)
-
-    def _lower_if(self, stmt: ast.If) -> None:
-        region, rv = self._open_region("branch", stmt.line, stmt.end_line)
-        self._emit(Instr(Opcode.ENTER, a=region.region_id, line=stmt.line))
-        cond = self._lower_expr(stmt.cond)
-        then_block = self.func.new_block()
-        merge_block = self.func.new_block()
-        if stmt.else_body is not None:
-            else_block = self.func.new_block()
-            self._emit(
-                Instr(Opcode.BR, a=cond, b=then_block.label, c=else_block.label)
-            )
+            memref = self._element_memref(info, idx, stmt.line)
+        if stmt.op == "=":
+            value = self._lower_expr(stmt.value)
+            self._store(info, stmt.line, value, memref)
         else:
-            self._emit(
-                Instr(Opcode.BR, a=cond, b=then_block.label, c=merge_block.label)
-            )
-        self.block = then_block
-        for inner in stmt.then_body.body:
-            self._lower_stmt(inner)
-        if self.block.terminator is None:
-            self._emit(Instr(Opcode.JMP, a=merge_block.label))
-        if stmt.else_body is not None:
-            self.block = else_block
-            for inner in stmt.else_body.body:
-                self._lower_stmt(inner)
-            if self.block.terminator is None:
-                self._emit(Instr(Opcode.JMP, a=merge_block.label))
-        self.block = merge_block
-        self._emit(Instr(Opcode.EXIT, a=region.region_id, line=stmt.end_line))
-        self._close_region(region, rv)
-
-    def _lower_while(self, stmt: ast.While) -> None:
-        region, rv = self._open_region("loop", stmt.line, stmt.end_line)
-        region.iter_var = None
-        self._emit(Instr(Opcode.ENTER, a=region.region_id, line=stmt.line))
-        header = self._jump_to_new_block()
-        body_block = self.func.new_block()
-        latch_block = self.func.new_block()
-        exit_block = self.func.new_block()
-        cond = self._lower_expr(stmt.cond)
-        self._emit(Instr(Opcode.BR, a=cond, b=body_block.label, c=exit_block.label))
-        self._loop_stack.append(_LoopContext(latch_block.label, exit_block.label))
-        self.block = body_block
-        for inner in stmt.body.body:
-            self._lower_stmt(inner)
-        if self.block.terminator is None:
-            self._emit(Instr(Opcode.JMP, a=latch_block.label))
-        self.block = latch_block
-        self._emit(Instr(Opcode.ITER, a=region.region_id, line=stmt.line))
-        self._emit(Instr(Opcode.JMP, a=header.label))
-        self._loop_stack.pop()
-        self.block = exit_block
-        self._emit(Instr(Opcode.EXIT, a=region.region_id, line=stmt.end_line))
-        self._close_region(region, rv)
+            rhs = lambda: self._lower_expr(stmt.value)  # noqa: E731
+            self._update(info, stmt.op[:-1], rhs, stmt.line, memref)
 
     def _lower_for(self, stmt: ast.For) -> None:
-        region, rv = self._open_region("loop", stmt.line, stmt.end_line)
         # Identify the loop-iteration variable (§3.2.5): the variable the
         # step clause writes, defaulting to the init-clause target.
-        iter_var: Optional[int] = None
+        iter_var = None
         for clause in (stmt.step, stmt.init):
             if isinstance(clause, ast.Assign) and isinstance(clause.target, ast.Var):
                 iter_var = clause.target.var_id
@@ -399,161 +158,36 @@ class Lowerer:
             if isinstance(clause, ast.VarDecl):
                 iter_var = clause.var_id
                 break
-        region.iter_var = iter_var
-        region.iter_var_written_in_body = (
-            iter_var is not None and _writes_var(stmt.body, iter_var)
+        self._loop(
+            stmt.line,
+            stmt.end_line,
+            stmt.body.body,
+            cond=_optional(self._lower_expr, stmt.cond),
+            init=_optional(self._lower_stmt, stmt.init),
+            step=_optional(self._lower_stmt, stmt.step),
+            iter_var=iter_var,
+            iter_var_written_in_body=(
+                iter_var is not None and _writes_var(stmt.body, iter_var)
+            ),
         )
-
-        self._emit(Instr(Opcode.ENTER, a=region.region_id, line=stmt.line))
-        if stmt.init is not None:
-            self._lower_stmt(stmt.init)
-        header = self._jump_to_new_block()
-        body_block = self.func.new_block()
-        latch_block = self.func.new_block()
-        exit_block = self.func.new_block()
-        if stmt.cond is not None:
-            cond = self._lower_expr(stmt.cond)
-            self._emit(
-                Instr(Opcode.BR, a=cond, b=body_block.label, c=exit_block.label)
-            )
-        else:
-            self._emit(Instr(Opcode.JMP, a=body_block.label))
-        self._loop_stack.append(_LoopContext(latch_block.label, exit_block.label))
-        self.block = body_block
-        for inner in stmt.body.body:
-            self._lower_stmt(inner)
-        if self.block.terminator is None:
-            self._emit(Instr(Opcode.JMP, a=latch_block.label))
-        self.block = latch_block
-        if stmt.step is not None:
-            self._lower_stmt(stmt.step)
-        self._emit(Instr(Opcode.ITER, a=region.region_id, line=stmt.line))
-        self._emit(Instr(Opcode.JMP, a=header.label))
-        self._loop_stack.pop()
-        self.block = exit_block
-        self._emit(Instr(Opcode.EXIT, a=region.region_id, line=stmt.end_line))
-        self._close_region(region, rv)
-
-    # ------------------------------------------------------------------
-    # variable access
-    # ------------------------------------------------------------------
-
-    def _scalar_memref(self, var_id: int):
-        info = self.symtab.variables[var_id]
-        if info.kind == "global":
-            return ("g", self.module.global_offsets[var_id])
-        return ("f", self.func.frame_slots[var_id])
-
-    def _load_scalar(self, var_id: int, name: str, line: int) -> Operand:
-        dest = self._new_reg()
-        load = Instr(
-            Opcode.LOAD,
-            dest=dest,
-            a=self._scalar_memref(var_id),
-            line=line,
-            var=name,
-            var_id=var_id,
-        )
-        self._new_op_id(load)
-        self._emit(load)
-        self._record_read(var_id)
-        return ("r", dest)
-
-    def _store_scalar(self, var_id: int, name: str, line: int, value: Operand) -> None:
-        store = Instr(
-            Opcode.STORE,
-            a=self._scalar_memref(var_id),
-            b=value,
-            line=line,
-            var=name,
-            var_id=var_id,
-        )
-        self._new_op_id(store)
-        self._emit(store)
-        self._record_write(var_id)
-
-    def _array_base_operand(self, var: ast.Var, line: int) -> Operand:
-        """Operand holding the absolute base address of an array variable."""
-        info = self.symtab.variables[var.var_id]
-        if info.kind == "param" and info.is_array:
-            param_index = [p.var_id for p in self.func.params].index(info.var_id)
-            reg = self.func.param_regs[param_index]
-            return ("r", reg)
-        if info.kind == "global" and info.is_array:
-            return ("i", self.module.global_offsets[info.var_id])
-        if info.is_array:  # local array: frame-relative
-            dest = self._new_reg()
-            self._emit(
-                Instr(
-                    Opcode.ADDR,
-                    dest=dest,
-                    a="f",
-                    b=self.func.frame_slots[info.var_id],
-                    c=("i", 0),
-                    line=line,
-                )
-            )
-            return ("r", dest)
-        # scalar int used as a pointer (result of alloc())
-        return self._load_scalar(info.var_id, info.name, line)
-
-    def _element_memref(self, base: ast.Var, idx: Operand, line: int):
-        """Memref for ``base[idx]``; folds constant global indexing."""
-        info = self.symtab.variables[base.var_id]
-        if (
-            info.kind == "global"
-            and info.is_array
-            and idx[0] == "i"
-        ):
-            return ("g", self.module.global_offsets[info.var_id] + idx[1])
-        base_op = self._array_base_operand(base, line)
-        dest = self._new_reg()
-        if base_op[0] == "i":
-            self._emit(
-                Instr(Opcode.ADDR, dest=dest, a="g", b=base_op[1], c=idx, line=line)
-            )
-        else:
-            self._emit(
-                Instr(Opcode.ADDR, dest=dest, a="r", b=base_op[1], c=idx, line=line)
-            )
-        return ("a", dest)
 
     # ------------------------------------------------------------------
     # expressions
     # ------------------------------------------------------------------
 
-    def _binop(self, op: str, left: Operand, right: Operand, line: int) -> Operand:
-        if left[0] == "i" and right[0] == "i":
-            return ("i", BINOPS[op](left[1], right[1]))
-        dest = self._new_reg()
-        self._emit(Instr(Opcode.BIN, dest=dest, a=op, b=left, c=right, line=line))
-        return ("r", dest)
-
     def _lower_expr(self, expr: ast.Expr, want_value: bool = True) -> Operand:
         if isinstance(expr, ast.Num):
             return ("i", expr.value)
         if isinstance(expr, ast.Var):
-            info = self.symtab.variables[expr.var_id]
-            if info.is_array or (info.kind == "param" and info.is_array):
-                return self._array_base_operand(expr, expr.line)
-            return self._load_scalar(expr.var_id, expr.name, expr.line)
+            info = self._info(expr)
+            if info.is_array:
+                return self._array_base(info, expr.line)
+            return self._load(info, expr.line)
         if isinstance(expr, ast.Index):
-            info = self.symtab.variables[expr.base.var_id]
+            info = self._info(expr.base)
             idx = self._lower_expr(expr.index)
-            memref = self._element_memref(expr.base, idx, expr.line)
-            dest = self._new_reg()
-            load = Instr(
-                Opcode.LOAD,
-                dest=dest,
-                a=memref,
-                line=expr.line,
-                var=info.name,
-                var_id=info.var_id,
-            )
-            self._new_op_id(load)
-            self._emit(load)
-            self._record_read(info.var_id)
-            return ("r", dest)
+            memref = self._element_memref(info, idx, expr.line)
+            return self._load(info, expr.line, memref)
         if isinstance(expr, ast.BinOp):
             if expr.op in ("&&", "||"):
                 return self._lower_shortcircuit(expr)
@@ -562,36 +196,24 @@ class Lowerer:
             return self._binop(expr.op, left, right, expr.line)
         if isinstance(expr, ast.UnOp):
             operand = self._lower_expr(expr.operand)
-            if operand[0] == "i":
-                from repro.mir.instructions import UNOPS
-
-                return ("i", UNOPS[expr.op](operand[1]))
-            dest = self._new_reg()
-            self._emit(
-                Instr(Opcode.UN, dest=dest, a=expr.op, b=operand, line=expr.line)
-            )
-            return ("r", dest)
+            return self._unop(expr.op, operand, expr.line)
         if isinstance(expr, ast.Call):
             args = [self._lower_call_arg(arg) for arg in expr.args]
-            dest = self._new_reg() if want_value else None
             op = Opcode.CALLB if expr.is_builtin else Opcode.CALL
-            self._emit(Instr(op, dest=dest, a=expr.name, b=args, line=expr.line))
-            return ("r", dest) if dest is not None else ("i", 0)
+            return self._emit_call(op, expr.name, args, expr.line, want_value)
         if isinstance(expr, ast.SpawnExpr):
             args = [self._lower_call_arg(arg) for arg in expr.args]
-            dest = self._new_reg() if want_value else None
-            self._emit(
-                Instr(Opcode.SPAWN, dest=dest, a=expr.name, b=args, line=expr.line)
+            return self._emit_call(
+                Opcode.SPAWN, expr.name, args, expr.line, want_value
             )
-            return ("r", dest) if dest is not None else ("i", 0)
         raise NotImplementedError(type(expr).__name__)  # pragma: no cover
 
     def _lower_call_arg(self, arg: ast.Expr) -> Operand:
         """Arrays are passed by base address; everything else by value."""
         if isinstance(arg, ast.Var):
-            info = self.symtab.variables[arg.var_id]
+            info = self._info(arg)
             if info.is_array:
-                return self._array_base_operand(arg, arg.line)
+                return self._array_base(info, arg.line)
         return self._lower_expr(arg)
 
     def _lower_shortcircuit(self, expr: ast.BinOp) -> Operand:
@@ -623,6 +245,11 @@ class Lowerer:
         self._emit(Instr(Opcode.JMP, a=merge_block.label))
         self.block = merge_block
         return ("r", result)
+
+
+def _optional(lower, clause):
+    """``lower(clause)`` deferred, or None for an omitted ``for`` clause."""
+    return None if clause is None else (lambda: lower(clause))
 
 
 def _writes_var(node: Union[ast.Stmt, ast.Block], var_id: int) -> bool:

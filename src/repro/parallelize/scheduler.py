@@ -174,9 +174,7 @@ class ParallelVM(VM):
         else:
             tid = len(self.threads)
             self.threads.append(None)  # placeholder, replaced below
-        thread = ThreadState(
-            tid, self.layout.stack_base(tid), self.layout.stack_limit(tid)
-        )
+        thread = self._new_thread(tid)
         self.threads[tid] = thread
         return thread
 

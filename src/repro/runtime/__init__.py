@@ -45,7 +45,7 @@ from repro.runtime.compile import (
     find_runs,
 )
 from repro.runtime.memory import MemoryLayout
-from repro.runtime.interpreter import VM, VMError, run_module, run_source
+from repro.runtime.interpreter import VM, VMError, run_source
 
 __all__ = [
     "K_READ",
@@ -79,6 +79,5 @@ __all__ = [
     "MemoryLayout",
     "VM",
     "VMError",
-    "run_module",
     "run_source",
 ]

@@ -24,6 +24,7 @@ import os
 import tempfile
 import zipfile
 from collections import deque
+from itertools import chain
 from typing import Iterator, Optional
 
 import numpy as np
@@ -158,11 +159,9 @@ class SignatureTable(_InternTable):
         into one ``(total, 2)`` array."""
         values = self.values
         lengths = np.fromiter(map(len, values), np.int64, len(values))
-        pairs = np.array(
-            [v for sig in values for pair in sig for v in pair],
-            dtype=np.int64,
-        ).reshape(-1, 2)
-        return lengths, pairs
+        flat = chain.from_iterable(chain.from_iterable(values))
+        pairs = np.fromiter(flat, np.int64, 2 * int(lengths.sum()))
+        return lengths, pairs.reshape(-1, 2)
 
     @classmethod
     def from_arrays(

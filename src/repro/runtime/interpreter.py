@@ -166,7 +166,9 @@ class VM:
         self.instrument = instrument and sink is not None
 
         self.layout = MemoryLayout(module.global_size, stack_size, max_threads)
-        self.memory: list = [0] * self.layout.heap_base
+        # the globals segment; a thread's stack joins it when the thread
+        # starts (_new_thread), a heap block when alloc() hands it out
+        self.memory: list = [0] * self.layout.stacks_base
         for addr, value in module.global_init.items():
             self.memory[addr] = value
         self.threads: list[ThreadState] = []
@@ -291,14 +293,18 @@ class VM:
     def _spawn_thread(
         self, func_name: str, args: list, call_line: int = 0
     ) -> ThreadState:
-        tid = len(self.threads)
-        thread = ThreadState(
-            tid, self.layout.stack_base(tid), self.layout.stack_limit(tid)
-        )
+        thread = self._new_thread(len(self.threads))
         self.threads.append(thread)
         self._push_frame(thread, func_name, args, ret_dest=None,
                          call_line=call_line)
         return thread
+
+    def _new_thread(self, tid: int) -> ThreadState:
+        """Thread ``tid``, with ``memory`` grown to cover its stack."""
+        limit = self.layout.stack_limit(tid)
+        if len(self.memory) < limit:
+            self.memory.extend([0] * (limit - len(self.memory)))
+        return ThreadState(tid, self.layout.stack_base(tid), limit)
 
     def _push_frame(
         self,
@@ -820,19 +826,6 @@ def _make_builtins() -> dict:
 # ---------------------------------------------------------------------------
 # convenience entry points
 # ---------------------------------------------------------------------------
-
-
-def run_module(
-    module: Module,
-    *,
-    sink: Optional[Callable[[list], None]] = None,
-    entry: str = "main",
-    **vm_kwargs,
-):
-    """Execute a module; returns ``(return_value, vm)``."""
-    vm = VM(module, sink, **vm_kwargs)
-    result = vm.run(entry)
-    return result, vm
 
 
 def run_source(

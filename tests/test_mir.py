@@ -1,4 +1,6 @@
-"""Tests for MIR: lowering, regions, CFG/dominators, printer, passes."""
+"""Tests for MIR: lowering, regions, CFG/dominators, printer."""
+
+from collections import Counter
 
 import pytest
 
@@ -10,8 +12,9 @@ from repro.mir.cfg import (
 )
 from repro.mir.instructions import Opcode
 from repro.mir.lowering import compile_source
-from repro.mir.passes import default_pipeline
 from repro.mir.printer import format_function, format_module
+from repro.runtime.interpreter import VM
+from repro.workloads import REGISTRY, get_workload
 from repro.cu.controldeps import (
     control_dependent_blocks,
     lookahead_reconvergence,
@@ -107,11 +110,6 @@ class TestLowering:
         loop = module.loops()[0]
         assert loop.iter_var_written_in_body
 
-    def test_enter_exit_markers_once_per_region(self):
-        module = compile_source(SIMPLE)
-        result = default_pipeline().run(module)
-        assert result["region_problems"] == []
-
     def test_printer_round(self):
         module = compile_source(SIMPLE)
         text = format_module(module)
@@ -119,25 +117,25 @@ class TestLowering:
         for func in module.functions.values():
             assert format_function(func)
 
-    def test_instrumentation_stats_pass(self):
-        module = compile_source(SIMPLE)
-        result = default_pipeline().run(module)
-        stats = result["instrumentation_stats"]
-        assert stats["main"]["loads"] > 0
-        assert stats["main"]["stores"] > 0
-
-    def test_loop_memops_pass(self):
-        module = compile_source(SIMPLE)
-        result = default_pipeline().run(module)
-        loop = module.loops()[0]
-        ops = result["loop_memops"][loop.region_id]
-        assert len(ops) > 0
-
     def test_constant_folding(self):
         module = compile_source("int main() { return 2 + 3 * 4; }")
         main = module.functions["main"]
         rets = [i for i in main.code if i.op == Opcode.RET]
         assert rets[0].a == ("i", 14)
+
+    def test_constant_division_by_zero_is_not_folded(self):
+        # the branch is never taken, so the program runs and returns 0
+        module = compile_source(
+            "int main() { int x; x = 0; if (x) { x = 1 / 0; } return x; }"
+        )
+        assert VM(module, None, instrument=False).run("main") == 0
+
+    def test_unfolded_division_by_zero_raises_when_run(self):
+        module = compile_source(
+            "int main() { int x; x = 1; if (x) { x = 1 / 0; } return x; }"
+        )
+        with pytest.raises(ZeroDivisionError):
+            VM(module, None, instrument=False).run("main")
 
     def test_break_continue_structure(self):
         src = """
@@ -153,6 +151,28 @@ class TestLowering:
         """
         module = compile_source(src)
         assert module.functions["main"].code  # lowering succeeded
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_region_markers_well_formed(name):
+    """Both frontends: every loop/branch region has exactly one ENTER and
+    one EXIT site, and every child region's lines lie inside its
+    parent's."""
+    module = get_workload(name).compile(scale=1)
+    sites = Counter(
+        (instr.op, instr.a)
+        for func in module.functions.values()
+        for instr in func.code
+        if instr.op in (Opcode.ENTER, Opcode.EXIT)
+    )
+    for region in module.regions.values():
+        if region.kind != "func":
+            assert sites[Opcode.ENTER, region.region_id] == 1, region
+            assert sites[Opcode.EXIT, region.region_id] == 1, region
+        if region.parent is not None:
+            parent = module.regions[region.parent]
+            assert parent.start_line <= region.start_line, region
+            assert region.end_line <= parent.end_line, region
 
 
 class TestCFG:

@@ -107,6 +107,21 @@ class TestPackedFormat:
         restored = StringTable.from_array(table.to_array())
         assert restored.values == table.values
 
+    def test_signature_arrays_hold_no_list_copy(self):
+        """Converting a recorded signature table allocates little beyond
+        its two arrays, and the arrays rebuild the same table."""
+        workload = get_workload("matmul")
+        _, vm = record(workload.compile(1), workload.entry)
+        tracemalloc.start()
+        try:
+            lengths, pairs = vm.sigs.to_arrays()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * (lengths.nbytes + pairs.nbytes)
+        restored = SignatureTable.from_arrays(lengths, pairs)
+        assert restored.values == vm.sigs.values
+
     @pytest.mark.parametrize("core", ["serial", "vectorized"])
     def test_unknown_signature_id_raises(self, core):
         chunk = make_chunk([

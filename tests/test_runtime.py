@@ -335,6 +335,9 @@ class TestThreads:
         result, vm = run_program(self.SRC, quantum=16)
         assert result == 100
         assert len(vm.threads) == 5
+        # memory holds the stacks of the five threads that ran, not of
+        # all max_threads
+        assert len(vm.memory) == vm.layout.stack_limit(4)
 
     def test_interleaving_actually_happens(self):
         _, trace, vm = run_source(self.SRC, quantum=8)
