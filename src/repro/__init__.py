@@ -70,30 +70,48 @@ C-like language), :mod:`repro.mir` (the LLVM-like IR), :mod:`repro.runtime`
 :mod:`repro.discovery`, :mod:`repro.engine`, :mod:`repro.simulate`,
 :mod:`repro.apps`, and :mod:`repro.workloads` (the benchmark suite with
 ground truth).  The command line lives in :mod:`repro.cli` (``repro
-profile|discover|report|batch``).
+profile|discover|parallelize|report|batch|trace|stats|store``).
+
+``import repro`` loads this package alone: each public name, and each
+subpackage, is imported the first time it is used (PEP 562), so
+compiling a workload never loads numpy, the engine or the profiler.
 """
 
-from repro.mir.lowering import compile_source
-from repro.runtime.interpreter import VM, run_source
-from repro.profiler.serial import SerialProfiler
-from repro.profiler.shadow import PerfectShadow, SignatureShadow
-from repro.profiler.parallel import ParallelProfiler
-from repro.profiler.skipping import SkippingProfiler
-from repro.profiler.reportfmt import format_report
-from repro.cu import build_cu_graph, build_cus
-from repro.engine import (
-    DiscoveryConfig,
-    DiscoveryEngine,
-    DiscoveryResult,
-    load_artifact,
-    save_artifact,
-)
-from repro.frontend import (
-    FrontendError,
-    analyze,
-    candidate,
-    compile_python_source,
-)
+
+def _lazy_exports(package: str, exports: dict) -> tuple:
+    """PEP 562 ``__getattr__`` and ``__dir__`` for a package facade.
+
+    ``exports`` maps each public name to the module that defines it; the
+    module is imported the first time the name is looked up, and the
+    value is then bound in the package, so later lookups are plain
+    attribute reads.  Any other name resolves to the package's submodule
+    of that name, imported on demand; a name that is neither raises
+    :class:`AttributeError`.
+    """
+    import sys
+    from importlib import import_module
+    from importlib.util import find_spec
+
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name: str):
+        module = exports.get(name)
+        if module is not None:
+            value = getattr(import_module(module), name)
+        elif find_spec(f"{package}.{name}") is not None:
+            value = import_module(f"{package}.{name}")
+        else:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            )
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list:
+        return sorted(namespace.keys() | exports.keys())
+
+    return __getattr__, __dir__
+
 
 __version__ = "1.1.0"
 
@@ -120,3 +138,26 @@ __all__ = [
     "FrontendError",
     "__version__",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "compile_source": "repro.mir.lowering",
+    "VM": "repro.runtime.interpreter",
+    "run_source": "repro.runtime.interpreter",
+    "SerialProfiler": "repro.profiler.serial",
+    "PerfectShadow": "repro.profiler.shadow",
+    "SignatureShadow": "repro.profiler.shadow",
+    "ParallelProfiler": "repro.profiler.parallel",
+    "SkippingProfiler": "repro.profiler.skipping",
+    "format_report": "repro.profiler.reportfmt",
+    "build_cus": "repro.cu",
+    "build_cu_graph": "repro.cu",
+    "DiscoveryConfig": "repro.engine",
+    "DiscoveryEngine": "repro.engine",
+    "DiscoveryResult": "repro.engine",
+    "load_artifact": "repro.engine",
+    "save_artifact": "repro.engine",
+    "analyze": "repro.frontend",
+    "candidate": "repro.frontend",
+    "compile_python_source": "repro.frontend",
+    "FrontendError": "repro.frontend",
+})

@@ -39,8 +39,6 @@ import json
 import sys
 import time
 
-from repro.profiler.reportfmt import format_report
-
 
 # ---------------------------------------------------------------------------
 # the unified `repro` command
@@ -278,6 +276,7 @@ def _emit(args, artifact, text: str) -> None:
 
 def cmd_profile(args) -> int:
     from repro.engine import DiscoveryEngine
+    from repro.profiler.reportfmt import format_report
 
     source, name, frontend, path = _read_source(args)
     engine = DiscoveryEngine(
@@ -537,6 +536,7 @@ def cmd_store(args) -> int:
 
 def cmd_report(args) -> int:
     from repro.engine import DiscoveryEngine, DiscoveryResult
+    from repro.profiler.reportfmt import format_report
 
     if args.load:
         artifact = _load_artifact_or_exit(args.load)

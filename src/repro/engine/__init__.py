@@ -13,9 +13,12 @@
 
 Every phase returns a typed artifact with a stable ``to_dict`` /
 ``from_dict`` JSON round-trip (:mod:`repro.engine.artifacts`), and
-:mod:`repro.engine.batch` fans full runs across a process pool.
+:mod:`repro.engine.batch` fans full runs across a process pool.  The
+batch and checkpoint names, and with them the artifact store, are
+imported on first use.
 """
 
+from repro import _lazy_exports
 from repro.engine.artifacts import (
     ARTIFACT_KINDS,
     CUArtifact,
@@ -28,15 +31,6 @@ from repro.engine.artifacts import (
     load_artifact,
     save_artifact,
 )
-from repro.engine.batch import (
-    config_for_job,
-    format_batch_table,
-    job_for_source,
-    job_for_workload,
-    run_batch,
-    run_job,
-)
-from repro.engine.checkpoint import JobCheckpoint, job_key
 from repro.engine.config import DiscoveryConfig
 from repro.engine.core import DiscoveryEngine
 
@@ -62,3 +56,14 @@ __all__ = [
     "run_job",
     "save_artifact",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "config_for_job": "repro.engine.batch",
+    "format_batch_table": "repro.engine.batch",
+    "job_for_source": "repro.engine.batch",
+    "job_for_workload": "repro.engine.batch",
+    "run_batch": "repro.engine.batch",
+    "run_job": "repro.engine.batch",
+    "JobCheckpoint": "repro.engine.checkpoint",
+    "job_key": "repro.engine.checkpoint",
+})

@@ -214,6 +214,19 @@ class DiscoveryEngine:
         detail["last"] = wall
         self.timings[phase] = detail["total"]
 
+    def _end_phase(self, phase: str, wall: float) -> None:
+        """Record a finished phase: its wall time and, with metrics on,
+        the process peak resident set so far (``ru_maxrss``, KiB on
+        Linux) as the gauge ``engine.<phase>.peak_rss_kb``."""
+        self._record_timing(phase, wall)
+        if self.obs.metrics is not None:
+            import resource
+
+            self.obs.metrics.gauge(
+                f"engine.{phase}.peak_rss_kb",
+                "process peak resident set when the phase ended",
+            ).set(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+
     def _wrap_tee(self, inner):
         """Observe each VM execution window flowing through the tee.
 
@@ -257,7 +270,7 @@ class DiscoveryEngine:
             t0 = _time.perf_counter()
             with self.obs.tracer.span("phase.profile", "engine"):
                 self._profile = self._run_profile()
-            self._record_timing("profile", _time.perf_counter() - t0)
+            self._end_phase("profile", _time.perf_counter() - t0)
             self._cus = self._detect = self._rank = None
             self._transform = self._validate = None
         return self._profile
@@ -390,7 +403,7 @@ class DiscoveryEngine:
                 self.obs.metrics.gauge(
                     "engine.cus", "computational units constructed"
                 ).set(len(registry.all_cus))
-            self._record_timing("build_cus", _time.perf_counter() - t0)
+            self._end_phase("build_cus", _time.perf_counter() - t0)
             self._detect = self._rank = None
             self._transform = self._validate = None
         return self._cus
@@ -450,7 +463,7 @@ class DiscoveryEngine:
                     "detect.task_containers",
                     "functions + loop bodies analyzed for tasks",
                 ).set(len(functions) + len(loop_tasks))
-            self._record_timing("detect", _time.perf_counter() - t0)
+            self._end_phase("detect", _time.perf_counter() - t0)
             self._rank = None
             self._transform = self._validate = None
         return self._detect
@@ -517,7 +530,7 @@ class DiscoveryEngine:
                 self.obs.metrics.gauge(
                     "rank.suggestions", "ranked parallelization suggestions"
                 ).set(len(self._rank.suggestions))
-            self._record_timing("rank", _time.perf_counter() - t0)
+            self._end_phase("rank", _time.perf_counter() - t0)
             self._transform = self._validate = None
         return self._rank
 
@@ -646,7 +659,7 @@ class DiscoveryEngine:
                     "parallelize.feasible",
                     "suggestions transformed into runnable plans",
                 ).set(len(self._transform.feasible_entries))
-            self._record_timing("parallelize", _time.perf_counter() - t0)
+            self._end_phase("parallelize", _time.perf_counter() - t0)
             self._validate = None
         return self._transform
 
@@ -719,7 +732,7 @@ class DiscoveryEngine:
                                 f"pvm.{key}",
                                 f"scheduler {key} across validation runs",
                             ).inc(sched[key])
-            self._record_timing("validate", _time.perf_counter() - t0)
+            self._end_phase("validate", _time.perf_counter() - t0)
         return self._validate
 
     # ------------------------------------------------------------------

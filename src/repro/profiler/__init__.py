@@ -24,8 +24,13 @@ Components:
 * :mod:`repro.profiler.backends` — :class:`SerialBackend`, the engine's
   detection sink, built from ``DiscoveryConfig.signature_slots``,
   ``skip_loops`` and ``detect``.
+
+The skipping, parallel and report-format names are imported on first
+use; :class:`SerialBackend` imports the sharded and skipping cores only
+when the config selects them.
 """
 
+from repro import _lazy_exports
 from repro.profiler.backends import BackendResult, SerialBackend
 from repro.profiler.deps import (
     DepKey,
@@ -35,10 +40,7 @@ from repro.profiler.deps import (
 )
 from repro.profiler.shadow import PerfectShadow, SignatureShadow
 from repro.profiler.serial import SerialProfiler
-from repro.profiler.skipping import SkippingProfiler, SkipStats
-from repro.profiler.parallel import ParallelProfiler, ParallelReport
 from repro.profiler.pet import PETBuilder, PETNode
-from repro.profiler.reportfmt import format_report, parse_report
 
 __all__ = [
     "BackendResult",
@@ -59,3 +61,12 @@ __all__ = [
     "format_report",
     "parse_report",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "SkippingProfiler": "repro.profiler.skipping",
+    "SkipStats": "repro.profiler.skipping",
+    "ParallelProfiler": "repro.profiler.parallel",
+    "ParallelReport": "repro.profiler.parallel",
+    "format_report": "repro.profiler.reportfmt",
+    "parse_report": "repro.profiler.reportfmt",
+})

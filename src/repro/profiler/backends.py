@@ -23,8 +23,6 @@ from typing import Optional
 from repro.profiler.deps import DependenceStore
 from repro.profiler.serial import ControlRecord, SerialProfiler
 from repro.profiler.shadow import PerfectShadow, SignatureShadow
-from repro.profiler.sharded import ShardedDetector
-from repro.profiler.skipping import SkippingProfiler
 from repro.profiler.vectorized import VectorizedProfiler
 
 
@@ -71,6 +69,8 @@ class SerialBackend:
             detect = "loop"
         self.detect = detect
         if detect == "sharded":
+            from repro.profiler.sharded import ShardedDetector
+
             self.profiler = ShardedDetector(
                 signature_slots,
                 n_shards=detect_workers,
@@ -92,9 +92,11 @@ class SerialBackend:
                 else SignatureShadow(signature_slots)
             )
             self.profiler = SerialProfiler(shadow)
-        self.sink = (
-            SkippingProfiler(self.profiler) if skip_loops else self.profiler
-        )
+        self.sink = self.profiler
+        if skip_loops:
+            from repro.profiler.skipping import SkippingProfiler
+
+            self.sink = SkippingProfiler(self.profiler)
         self.skip_loops = skip_loops
         self.detect_seconds = 0.0
         self.detect_events = 0
@@ -108,7 +110,7 @@ class SerialBackend:
         """
         if tracer is not None and tracer.enabled:
             self._tracer = tracer
-        if isinstance(self.profiler, ShardedDetector):
+        if self.detect == "sharded":
             self.profiler.attach_obs(tracer, metrics)
 
     def __call__(self, chunk) -> None:
@@ -125,14 +127,14 @@ class SerialBackend:
 
     def finish(self) -> BackendResult:
         profiler = self.profiler
-        if isinstance(profiler, ShardedDetector):
+        if self.detect == "sharded":
             # joins the workers and merges shard stores + frontiers;
             # billed as detection time (the workers were scanning)
             t0 = time.perf_counter()
             profiler.finalize()
             self.detect_seconds += time.perf_counter() - t0
             collisions = profiler.collisions
-        elif isinstance(profiler, VectorizedProfiler):
+        elif self.detect == "vectorized":
             t0 = time.perf_counter()
             profiler.flush()
             self.detect_seconds += time.perf_counter() - t0
@@ -155,7 +157,7 @@ class SerialBackend:
             "evictions": profiler.stats.evictions,
             "shadow_collisions": collisions,
         }
-        if isinstance(profiler, ShardedDetector):
+        if self.detect == "sharded":
             stats["detect_workers"] = profiler.n_shards
             stats["shipped_events"] = profiler.shipped_events
             if profiler.sampler is not None:

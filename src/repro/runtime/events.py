@@ -482,17 +482,20 @@ def save_trace(sink, path: str) -> None:
     boundaries, then ``strings`` (unicode array, slot 0 = None) and the
     signature table as ``sig_lengths`` + ``sig_pairs`` (see
     :meth:`SignatureTable.to_arrays`), the members ``np.savez_compressed``
-    writes.  Each array goes into the archive as it is read, so saving a
-    :class:`SpillingTraceSink` loads one spilled segment at a time, and a
-    :class:`TraceSink` writes its chunks as they rest (int32 where they
-    fit), never a widened copy.
+    writes, deflated at zlib level 1: about four times faster to write
+    than the default level 6 for a quarter more bytes.  Each array goes
+    into the archive as it is read, so saving a :class:`SpillingTraceSink`
+    loads one spilled segment at a time, and a :class:`TraceSink` writes
+    its chunks as they rest (int32 where they fit), never a widened
+    copy.
     """
     chunks = (
         sink._resting if isinstance(sink, TraceSink) else sink.iter_chunks()
     )
     strings, sigs = StringTable(), SignatureTable()
     with zipfile.ZipFile(
-        path, "w", compression=zipfile.ZIP_DEFLATED, allowZip64=True
+        path, "w", compression=zipfile.ZIP_DEFLATED, compresslevel=1,
+        allowZip64=True,
     ) as archive:
 
         def put(name: str, array: np.ndarray) -> None:

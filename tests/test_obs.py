@@ -347,6 +347,27 @@ class TestEngineObs:
         assert restored.timing_detail == result.timing_detail
         assert json.loads(json.dumps(data))["metrics"] == result.metrics
 
+    def test_peak_rss_gauge_per_phase(self):
+        """Each phase that ran leaves the process peak it had reached;
+        ``ru_maxrss`` is a high-water mark, so they never decrease."""
+        phases = ("profile", "build_cus", "detect", "rank", "parallelize",
+                  "validate")
+        result = engine_for("matmul", obs="metrics", validate=True).run()
+        gauges = {
+            name: metric for name, metric in result.metrics.items()
+            if name.endswith(".peak_rss_kb")
+        }
+        assert sorted(gauges) == sorted(
+            f"engine.{phase}.peak_rss_kb" for phase in phases
+        )
+        in_order = [gauges[f"engine.{p}.peak_rss_kb"] for p in phases]
+        assert {gauge["kind"] for gauge in in_order} == {"gauge"}
+        peaks = [gauge["value"] for gauge in in_order]
+        assert peaks[0] > 0
+        assert peaks == sorted(peaks)
+        off = engine_for("matmul", validate=True).run()
+        assert off.metrics == {}
+
     def test_off_mode_records_nothing(self):
         engine = engine_for("fib")
         result = engine.run()
