@@ -33,7 +33,14 @@ terminator, realizing compare-and-branch) compiles to one specialized
 closure.  Runs break at branch targets so loop heads always enter a
 fused closure.  The closure bodies are generated Python source —
 operands inlined as literals, one ``frame.regs``/``vm.ts`` access per
-run instead of per instruction — compiled once per function.
+run instead of per instruction — compiled once per table (see the
+dispatch contract below).
+
+**One emitter.**  The run compiler (:class:`_RunCompiler`) is the only
+code generator: a single-instruction closure is a run of length one,
+generated from the same per-opcode rules as the fused runs.  Only the
+six opcodes no run may contain — ``spawn``, ``join``, ``lock``,
+``unlock``, ``pfork``, ``ptask`` — keep hand-written closure makers.
 
 Each function compiles to **two variants**, selected by the owning VM:
 
@@ -47,17 +54,23 @@ returns the next code index, or ``-1`` for a control transfer (call/ret/
 spawn/block/parallel fork) after storing the resume point in
 ``thread.pc``.  ``CompiledCode.fns[i]`` executes the instruction(s)
 starting at index ``i`` (``costs[i]`` of them); ``alts[i]`` always
-executes exactly instruction ``i``.  The runner falls back to
-``alts[i]`` when a fused run would overrun the thread's quantum, so step
-counts — and therefore scheduler interleavings and the emitted trace —
-stay **bit-identical** to the switch loop.  Entering the middle of a
-fused run (a rare quantum-edge resume) is always safe: every index keeps
-its standalone closure.
+executes exactly instruction ``i``, and is ``fns[i]`` itself wherever
+``costs[i] == 1``.  The runner falls back to ``alts[i]`` when a fused
+run would overrun the thread's quantum, so step counts — and therefore
+scheduler interleavings and the emitted trace — stay **bit-identical**
+to the switch loop.  Entering the middle of a fused run (a rare
+quantum-edge resume) is always safe: every index has its
+single-instruction closure in ``alts``.  Both variants build their
+tables lazily: a function's fused runs on its first fused dispatch, the
+single-instruction closures of one run (or of one instruction in no
+run) on the first single-instruction dispatch into it.  A function that
+never dispatches a single-instruction closure never generates or
+compiles one.
 """
 
 from __future__ import annotations
 
-import linecache
+import math
 from collections import Counter, deque
 from typing import TYPE_CHECKING
 from weakref import WeakKeyDictionary
@@ -159,74 +172,64 @@ def compile_function(vm: "VM", func: "Function") -> CompiledCode:
     The variant (traced / untraced) follows ``vm.instrument``; traced
     compilation requires the VM's columnar event state (the engine's
     default pipeline).
+
+    Closures are generated lazily.  Most runs touch a fraction of the
+    instruction space (validate reruns, ParallelVM task bodies, short
+    call-heavy recursions), and a single-threaded run seldom dispatches
+    a single-instruction closure at all.  So every generated slot starts
+    as a self-replacing trampoline.  The first dispatch into a fused run
+    generates all of the function's runs; the first single-instruction
+    dispatch into a run generates the singles of that run, and a loose
+    instruction (in no run) gets its single alone.  Either patches the
+    tables and runs the real closure, and later dispatches hit it with
+    zero indirection.  The blocking opcodes' closures compile nothing
+    and are made at once.
     """
     traced = vm.instrument
     code = func.code
-    n = len(code)
-    costs = [1] * n
     runs = find_runs(code)
-    if traced:
-        alts = [_make_closure(vm, i, code[i], traced) for i in range(n)]
-        fns = list(alts)
-        if runs:
-            fused = _generated_runs(vm, func, runs, traced)
-            for start, end in runs:
-                fns[start] = fused[start]
-                costs[start] = end - start
-        return CompiledCode(fns, costs, alts, traced)
-    # Untraced variant: build closures lazily, on first execution.  The
-    # untraced consumers — validate.py sequential reruns, ParallelVM
-    # task bodies, quick bench runs — execute for milliseconds and touch
-    # a fraction of the instruction space; eagerly decoding every
-    # instruction of every called function dominated short call-heavy
-    # runs (the fft recursion regression).  Each table slot starts as a
-    # self-replacing trampoline: the first dispatch builds the real
-    # closure, patches the table, and runs it — later dispatches hit the
-    # plain closure with zero indirection.
+    costs = [1] * len(code)
     for start, end in runs:
         costs[start] = end - start
-    fns: list = [None] * n
-    alts: list = [None] * n
-    run_state = {"built": None}
+    fns: list = []
+    alts: list = []
 
-    def _lazy_single(i):
+    def install(spans) -> None:
+        table = _generated(vm, func, traced, spans)
+        for start, end in spans:
+            if end - start == 1:
+                alts[start] = table[start]
+            if end - start == costs[start]:
+                fns[start] = table[start]
+
+    def lazy(table: list, i: int, spans):
         def trampoline(thread, frame):
-            real = _make_closure(vm, i, code[i], False)
-            # cost-1 indices share one closure across both tables, the
-            # same invariant the eager variant's ``fns = list(alts)``
-            # maintained
-            alts[i] = real
-            if costs[i] == 1:
-                fns[i] = real
-            return real(thread, frame)
+            install(spans)
+            return table[i](thread, frame)
 
         return trampoline
 
-    def _lazy_run(i):
-        def trampoline(thread, frame):
-            fused = run_state["built"]
-            if fused is None:
-                fused = run_state["built"] = _generated_runs(
-                    vm, func, runs, False
-                )
-                for start, _end in runs:
-                    fns[start] = fused[start]
-            return fns[i](thread, frame)
-
-        return trampoline
-
-    for i in range(n):
-        alts[i] = _lazy_single(i)
-        fns[i] = _lazy_run(i) if costs[i] > 1 else alts[i]
+    group_end = 0
+    for i, instr in enumerate(code):
+        maker = _MAKERS.get(instr.op)
+        if maker is not None:
+            alts.append(maker(vm, i, instr))
+        else:
+            if i >= group_end:  # a run, or a loose instruction, starts here
+                group_end = i + costs[i]
+                singles = [(j, j + 1) for j in range(i, group_end)]
+            alts.append(lazy(alts, i, singles))
+        fns.append(lazy(fns, i, runs) if costs[i] > 1 else alts[i])
     return CompiledCode(fns, costs, alts, traced)
 
 
-#: generated-source cache: Function -> {(traced, chunk_size): entry}.
-#: The generated source depends only on the function's instructions, the
-#: module-derived metadata (interned name ids are deterministic per
-#: module), the variant, and the flush threshold — so the expensive
-#: string build + ``compile()`` runs once per function and later VMs
-#: only re-bind the closures over their own captured state.
+#: generated-source cache: Function -> {(first span, traced,
+#: chunk_size): entry}.  The generated source depends only on the
+#: function's instructions, the module-derived metadata (interned name
+#: ids are deterministic per module), the spans, the variant, and the
+#: flush threshold — so the expensive string build + ``compile()`` runs
+#: once per function and table, and later VMs only re-bind the closures
+#: over their own captured state.
 _GENERATED: "WeakKeyDictionary" = WeakKeyDictionary()
 
 #: source-text -> compiled code object.  Recompiling the same workload
@@ -239,31 +242,52 @@ _CODE_OBJECTS: dict[str, object] = {}
 _CODE_OBJECTS_MAX = 1024
 
 
-def _generated_runs(vm, func, runs, traced: bool) -> dict:
+def _generated(vm, func, traced: bool, spans: list) -> dict:
+    """``{start: closure}`` over ``spans`` of ``func``: all of its fused
+    runs, or the single-instruction spans of one run or loose
+    instruction.  The first span names the table: a run spans two or
+    more instructions, a single one.
+    """
     per_func = _GENERATED.setdefault(func, {})
-    key = (traced, vm.chunk_size if traced else 0)
+    key = (spans[0], traced, vm.chunk_size if traced else 0)
     entry = per_func.get(key)
     if entry is None:
         compiler = _RunCompiler(vm, func, traced)
-        src = compiler.source(runs)
+        src = compiler.source(spans)
         code_obj = _CODE_OBJECTS.get(src)
         if code_obj is None:
-            filename = f"<mir-compile:{func.name}#{len(_CODE_OBJECTS)}>"
+            filename = f"mir-compile:{func.name}#{len(_CODE_OBJECTS)}"
             code_obj = compile(src, filename, "exec")
-            # keep the source inspectable in tracebacks/debuggers
-            linecache.cache[filename] = (
-                len(src), None, src.splitlines(True), filename
-            )
             if len(_CODE_OBJECTS) >= _CODE_OBJECTS_MAX:
                 _CODE_OBJECTS.clear()
             _CODE_OBJECTS[src] = code_obj
-        entry = per_func[key] = (code_obj, list(compiler.params.items()))
-    code_obj, spec = entry
-    namespace = {"len": len}
+        entry = per_func[key] = (
+            code_obj, list(compiler.params.items()), _Source(src)
+        )
+    code_obj, spec, loader = entry
+    namespace = {
+        "len": len,
+        "__name__": code_obj.co_filename,
+        "__loader__": loader,
+    }
     exec(code_obj, namespace)
     return namespace["_factory"](
         *(_resolve_capture(vm, kind, arg) for _, (kind, arg) in spec)
     )
+
+
+class _Source:
+    """PEP 302 ``get_source`` of one generated module.  Tracebacks and
+    debuggers read the source through it (``linecache.lazycache``), so
+    no line list is kept for the many sources nobody looks at."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+    def get_source(self, name: str) -> str:
+        return self.text
 
 
 def _resolve_capture(vm, kind: str, arg):
@@ -292,6 +316,8 @@ def _resolve_capture(vm, kind: str, arg):
         return vm._push_frame
     if kind == "pop_frame":
         return vm._pop_frame
+    if kind == "const":
+        return arg
     raise ValueError(f"unknown capture kind {kind!r}")  # pragma: no cover
 
 
@@ -332,25 +358,22 @@ def find_runs(code) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# superinstruction codegen
+# closure codegen: fused runs and single instructions alike
 # ---------------------------------------------------------------------------
 
 
-def _operand_src(operand) -> str:
-    tag, value = operand
-    return repr(value) if tag == "i" else f"regs[{value}]"
-
-
 class _RunCompiler:
-    """Generates one Python function per fused run, assembled into a
-    single factory module per MIR function.
+    """Generates one Python function per span ``[start, end)`` — a fused
+    run, or a single instruction — assembled into a single factory module
+    per MIR function and table.
 
     Captured state (the VM, its memory list, the flat staging list and
-    its bound ``extend``, interning and region helpers, builtins) enters
-    through factory parameters, so the generated bodies read everything
-    through fast cell variables.  ``params`` records *how to resolve*
-    each capture — name -> (kind, arg) — so a cached code object can be
-    re-bound over any later VM of the same module.
+    its bound ``extend``, interning and region helpers, builtins,
+    non-finite immediates) enters through factory parameters, so the
+    generated bodies read everything through fast cell variables.
+    ``params`` records *how to resolve* each capture — name -> (kind,
+    arg) — so a cached code object can be re-bound over any later VM of
+    the same module.
     """
 
     def __init__(self, vm: "VM", func: "Function", traced: bool) -> None:
@@ -383,13 +406,24 @@ class _RunCompiler:
             self.params[pyname] = ("builtin", name)
         return pyname
 
+    def _literal(self, value) -> str:
+        # repr(inf) / repr(nan) are bare names, not literals: capture
+        # the value itself (each occurrence keeps its own float object)
+        if isinstance(value, float) and not math.isfinite(value):
+            return self._param(f"_k{len(self.params)}", "const", value)
+        return repr(value)
+
+    def _operand(self, operand) -> str:
+        tag, value = operand
+        return self._literal(value) if tag == "i" else f"regs[{value}]"
+
     # -- assembly ------------------------------------------------------
 
-    def source(self, runs: list[tuple[int, int]]) -> str:
+    def source(self, spans: list[tuple[int, int]]) -> str:
         defs = []
-        for start, end in runs:
+        for start, end in spans:
             defs.append(self._run_source(start, end))
-        table_src = ", ".join(f"{start}: _r{start}" for start, _ in runs)
+        table_src = ", ".join(f"{start}: _r{start}" for start, _ in spans)
         # params are collected while generating run sources, so the
         # factory header is rendered last
         body = "\n".join(defs)
@@ -400,12 +434,11 @@ class _RunCompiler:
         )
 
     def _run_source(self, start: int, end: int) -> str:
-        vm = self.vm
         traced = self.traced
         code = self.func.code
         ops = code[start:end]
         k = end - start
-        has_term = ops[-1].op in RUN_TERMINATORS
+        last = ops[-1].op
         has_event = traced and any(
             o.op in ("load", "store", "enter", "iter") for o in ops
         )
@@ -428,8 +461,9 @@ class _RunCompiler:
             lines.append("    sig = th.sig_id")
         for j, instr in enumerate(ops):
             self._op_source(lines, instr, j, k, end, has_mem_event)
-        if not has_term:
-            lines.append(f"    vm.ts = ts + {k}")
+        if last not in RUN_TERMINATORS:
+            if last not in ("exit", "callb"):  # those sync vm.ts already
+                lines.append(f"    vm.ts = ts + {k}")
             lines.append(f"    return {end}")
         return "\n".join(lines)
 
@@ -449,7 +483,7 @@ class _RunCompiler:
         elif op == "un":
             lines.append(f"    {self._un_src(instr)}")
         elif op == "const":
-            lines.append(f"    regs[{instr.dest}] = {instr.a!r}")
+            lines.append(f"    regs[{instr.dest}] = {self._literal(instr.a)}")
         elif op == "addr":
             lines.append(f"    {self._addr_src(instr)}")
         elif op == "enter":
@@ -461,7 +495,7 @@ class _RunCompiler:
         elif op == "callb":
             self._callb_source(lines, instr, j)
         elif op == "br":
-            cond = _operand_src(instr.a)
+            cond = self._operand(instr.a)
             lines.append(f"    vm.ts = ts + {k}")
             lines.append(f"    if {cond}:")
             lines.append(f"        return {instr.b}")
@@ -471,7 +505,7 @@ class _RunCompiler:
             lines.append(f"    return {instr.a}")
         elif op == "call":
             push = self._param("push_frame", "push_frame")
-            args = ", ".join(_operand_src(o) for o in instr.b)
+            args = ", ".join(self._operand(o) for o in instr.b)
             lines.append(f"    vm.ts = ts + {k}")
             lines.append(f"    th.pc = {end}")
             lines.append(
@@ -482,13 +516,13 @@ class _RunCompiler:
         elif op == "ret":
             pop = self._param("pop_frame", "pop_frame")
             operand = instr.a
-            value = "0" if operand is None else _operand_src(operand)
+            value = "0" if operand is None else self._operand(operand)
             lines.append(f"    vm.ts = ts + {k}")
             lines.append(f"    th.pc = {end}")
             lines.append(f"    {pop}(th, {value})")
             lines.append("    return -1")
-        else:  # pragma: no cover - find_runs filters opcodes
-            raise ValueError(f"op {op!r} cannot join a fused run")
+        else:  # pragma: no cover - MIR opcodes are a closed set
+            raise ValueError(f"unknown opcode {op!r}")
 
     def _mem_source(self, lines: list, instr, j: int, *, load: bool) -> None:
         space, base = instr.a
@@ -503,7 +537,7 @@ class _RunCompiler:
         if load:
             lines.append(f"    regs[{instr.dest}] = memory[{addr}]")
         else:
-            lines.append(f"    memory[{addr}] = {_operand_src(instr.b)}")
+            lines.append(f"    memory[{addr}] = {self._operand(instr.b)}")
         if not self.traced:
             return
         name_id, var_code = self.vm._op_meta[instr.op_id]
@@ -522,8 +556,8 @@ class _RunCompiler:
     def _bin_src(self, instr) -> str:
         bop = instr.a
         d = instr.dest
-        x = _operand_src(instr.b)
-        y = _operand_src(instr.c)
+        x = self._operand(instr.b)
+        y = self._operand(instr.c)
         if bop in _ARITH:
             return f"regs[{d}] = {x} {bop} {y}"
         if bop in _CMP:
@@ -541,7 +575,7 @@ class _RunCompiler:
     def _un_src(self, instr) -> str:
         uop = instr.a
         d = instr.dest
-        x = _operand_src(instr.b)
+        x = self._operand(instr.b)
         if uop == "-":
             return f"regs[{d}] = -{x}"
         if uop == "!":
@@ -622,7 +656,7 @@ class _RunCompiler:
 
     def _callb_source(self, lines: list, instr, j: int) -> None:
         # builtins may emit ALLOC/FREE records reading vm.ts: sync it
-        args = ", ".join(_operand_src(o) for o in instr.b)
+        args = ", ".join(self._operand(o) for o in instr.b)
         call = f"{self._builtin(instr.a)}(vm, th, [{args}])"
         lines.append(f"    vm.ts = ts + {j + 1}")
         if instr.dest is None:
@@ -657,484 +691,16 @@ def _uses_fb(instr) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# per-instruction closures (the quantum-edge fallback table)
+# closure makers for the opcodes no run may contain: they block, spawn or
+# fork, and always dispatch on their own
 # ---------------------------------------------------------------------------
-
-
-def _trace_bits(vm: "VM", instr):
-    """Pre-resolved flat staging state for one load/store site."""
-    name_id, var_code = vm._op_meta[instr.op_id]
-    buf = vm._buffer
-    return (
-        instr.line,
-        instr.op_id,
-        name_id,
-        var_code,
-        buf,
-        buf.extend,
-        vm._flat_cap,
-        vm._flush,
-    )
-
-
-def _make_closure(vm: "VM", pc: int, instr, traced: bool):
-    op = instr.op
-    maker = _MAKERS.get(op)
-    if maker is None:
-        raise ValueError(f"unknown opcode {op!r} at {pc}")
-    return maker(vm, pc, instr, traced)
-
-
-def _make_const(vm, pc, instr, traced):
-    nxt = pc + 1
-    dest = instr.dest
-    value = instr.a
-
-    def op(th, frame):
-        vm.ts += 1
-        frame.regs[dest] = value
-        return nxt
-
-    return op
-
-
-def _make_bin(vm, pc, instr, traced):
-    nxt = pc + 1
-    dest = instr.dest
-    bop = instr.a
-    l_tag, l_v = instr.b
-    r_tag, r_v = instr.c
-    l_imm = l_tag == "i"
-    r_imm = r_tag == "i"
-    if l_imm and r_imm:
-        value = BINOPS[bop](l_v, r_v)
-
-        def op(th, frame):
-            vm.ts += 1
-            frame.regs[dest] = value
-            return nxt
-
-        return op
-    fn = BINOPS[bop]
-
-    def op(th, frame):
-        vm.ts += 1
-        regs = frame.regs
-        regs[dest] = fn(
-            l_v if l_imm else regs[l_v], r_v if r_imm else regs[r_v]
-        )
-        return nxt
-
-    return op
-
-
-def _make_un(vm, pc, instr, traced):
-    nxt = pc + 1
-    dest = instr.dest
-    fn = UNOPS[instr.a]
-    tag, v = instr.b
-    if tag == "i":
-        value = fn(v)
-
-        def op(th, frame):
-            vm.ts += 1
-            frame.regs[dest] = value
-            return nxt
-
-        return op
-
-    def op(th, frame):
-        vm.ts += 1
-        regs = frame.regs
-        regs[dest] = fn(regs[v])
-        return nxt
-
-    return op
-
-
-def _make_load(vm, pc, instr, traced):
-    nxt = pc + 1
-    dest = instr.dest
-    space, base = instr.a
-    memory = vm.memory
-    if not traced:
-        if space == "g":
-
-            def op(th, frame):
-                vm.ts += 1
-                frame.regs[dest] = memory[base]
-                return nxt
-
-        elif space == "f":
-
-            def op(th, frame):
-                vm.ts += 1
-                frame.regs[dest] = memory[frame.frame_base + base]
-                return nxt
-
-        else:
-
-            def op(th, frame):
-                vm.ts += 1
-                regs = frame.regs
-                regs[dest] = memory[regs[base]]
-                return nxt
-
-        return op
-    kr = K_READ
-    line, op_id, name_id, var_code, buf, extend, cap, flush = _trace_bits(
-        vm, instr
-    )
-    if space == "g":
-
-        def op(th, frame):
-            vm.ts = ts = vm.ts + 1
-            frame.regs[dest] = memory[base]
-            extend(
-                (kr, base, line, name_id, op_id, th.tid, ts, th.sig_id,
-                 var_code)
-            )
-            if len(buf) >= cap:
-                flush()
-            return nxt
-
-    elif space == "f":
-
-        def op(th, frame):
-            vm.ts = ts = vm.ts + 1
-            addr = frame.frame_base + base
-            frame.regs[dest] = memory[addr]
-            extend(
-                (kr, addr, line, name_id, op_id, th.tid, ts, th.sig_id,
-                 var_code)
-            )
-            if len(buf) >= cap:
-                flush()
-            return nxt
-
-    else:
-
-        def op(th, frame):
-            vm.ts = ts = vm.ts + 1
-            regs = frame.regs
-            addr = regs[base]
-            regs[dest] = memory[addr]
-            extend(
-                (kr, addr, line, name_id, op_id, th.tid, ts, th.sig_id,
-                 var_code)
-            )
-            if len(buf) >= cap:
-                flush()
-            return nxt
-
-    return op
-
-
-def _make_store(vm, pc, instr, traced):
-    nxt = pc + 1
-    space, base = instr.a
-    s_tag, s_v = instr.b
-    s_imm = s_tag == "i"
-    memory = vm.memory
-    if not traced:
-        if space == "g":
-
-            def op(th, frame):
-                vm.ts += 1
-                memory[base] = s_v if s_imm else frame.regs[s_v]
-                return nxt
-
-        elif space == "f":
-
-            def op(th, frame):
-                vm.ts += 1
-                memory[frame.frame_base + base] = (
-                    s_v if s_imm else frame.regs[s_v]
-                )
-                return nxt
-
-        else:
-
-            def op(th, frame):
-                vm.ts += 1
-                regs = frame.regs
-                memory[regs[base]] = s_v if s_imm else regs[s_v]
-                return nxt
-
-        return op
-    kw = K_WRITE
-    line, op_id, name_id, var_code, buf, extend, cap, flush = _trace_bits(
-        vm, instr
-    )
-    if space == "g":
-
-        def op(th, frame):
-            vm.ts = ts = vm.ts + 1
-            memory[base] = s_v if s_imm else frame.regs[s_v]
-            extend(
-                (kw, base, line, name_id, op_id, th.tid, ts, th.sig_id,
-                 var_code)
-            )
-            if len(buf) >= cap:
-                flush()
-            return nxt
-
-    elif space == "f":
-
-        def op(th, frame):
-            vm.ts = ts = vm.ts + 1
-            addr = frame.frame_base + base
-            memory[addr] = s_v if s_imm else frame.regs[s_v]
-            extend(
-                (kw, addr, line, name_id, op_id, th.tid, ts, th.sig_id,
-                 var_code)
-            )
-            if len(buf) >= cap:
-                flush()
-            return nxt
-
-    else:
-
-        def op(th, frame):
-            vm.ts = ts = vm.ts + 1
-            regs = frame.regs
-            addr = regs[base]
-            memory[addr] = s_v if s_imm else regs[s_v]
-            extend(
-                (kw, addr, line, name_id, op_id, th.tid, ts, th.sig_id,
-                 var_code)
-            )
-            if len(buf) >= cap:
-                flush()
-            return nxt
-
-    return op
-
-
-def _make_addr(vm, pc, instr, traced):
-    nxt = pc + 1
-    dest = instr.dest
-    space = instr.a
-    base = instr.b
-    i_tag, i_v = instr.c
-    i_imm = i_tag == "i"
-    if space == "g":
-        if i_imm:
-            value = base + i_v
-
-            def op(th, frame):
-                vm.ts += 1
-                frame.regs[dest] = value
-                return nxt
-
-        else:
-
-            def op(th, frame):
-                vm.ts += 1
-                regs = frame.regs
-                regs[dest] = base + regs[i_v]
-                return nxt
-
-    elif space == "f":
-
-        def op(th, frame):
-            vm.ts += 1
-            regs = frame.regs
-            regs[dest] = frame.frame_base + base + (
-                i_v if i_imm else regs[i_v]
-            )
-            return nxt
-
-    else:  # 'r': base address held in a register
-
-        def op(th, frame):
-            vm.ts += 1
-            regs = frame.regs
-            regs[dest] = regs[base] + (i_v if i_imm else regs[i_v])
-            return nxt
-
-    return op
-
-
-def _make_br(vm, pc, instr, traced):
-    c_tag, c_v = instr.a
-    t_pc = instr.b
-    f_pc = instr.c
-    if c_tag == "i":
-        target = t_pc if c_v else f_pc
-
-        def op(th, frame):
-            vm.ts += 1
-            return target
-
-        return op
-
-    def op(th, frame):
-        vm.ts += 1
-        return t_pc if frame.regs[c_v] else f_pc
-
-    return op
-
-
-def _make_jmp(vm, pc, instr, traced):
-    target = instr.a
-
-    def op(th, frame):
-        vm.ts += 1
-        return target
-
-    return op
 
 
 def _argspec(operands) -> tuple:
     return tuple((tag == "i", v) for tag, v in operands)
 
 
-def _make_call(vm, pc, instr, traced):
-    nxt = pc + 1
-    fname = instr.a
-    dest = instr.dest
-    line = instr.line
-    spec = _argspec(instr.b)
-
-    def op(th, frame):
-        vm.ts += 1
-        regs = frame.regs
-        args = [v if imm else regs[v] for imm, v in spec]
-        th.pc = nxt
-        vm._push_frame(th, fname, args, dest, call_line=line)
-        return -1
-
-    return op
-
-
-def _make_callb(vm, pc, instr, traced):
-    nxt = pc + 1
-    fn = vm._builtins[instr.a]
-    dest = instr.dest
-    spec = _argspec(instr.b)
-    if dest is None:
-
-        def op(th, frame):
-            vm.ts += 1
-            regs = frame.regs
-            fn(vm, th, [v if imm else regs[v] for imm, v in spec])
-            return nxt
-
-        return op
-
-    def op(th, frame):
-        vm.ts += 1
-        regs = frame.regs
-        regs[dest] = fn(vm, th, [v if imm else regs[v] for imm, v in spec])
-        return nxt
-
-    return op
-
-
-def _make_ret(vm, pc, instr, traced):
-    nxt = pc + 1
-    operand = instr.a
-    if operand is None:
-        r_imm, r_v = True, 0
-    else:
-        tag, r_v = operand
-        r_imm = tag == "i"
-
-    def op(th, frame):
-        vm.ts += 1
-        th.pc = nxt
-        vm._pop_frame(th, r_v if r_imm else frame.regs[r_v])
-        return -1
-
-    return op
-
-
-def _make_enter(vm, pc, instr, traced):
-    nxt = pc + 1
-    rid = instr.a
-    kind = vm._region_kind[rid]
-    start = vm._region_start[rid]
-    is_loop = kind == "loop"
-    if not traced:
-
-        def op(th, frame):
-            vm.ts += 1
-            frame.region_stack.append([rid, kind, start])
-            if is_loop:
-                th.loop_stack.append([rid, 0])
-            return nxt
-
-        return op
-    kb = K_BGN
-    kind_id = vm._region_kind_id[rid]
-    buf = vm._buffer
-    extend = buf.extend
-    cap = vm._flat_cap
-    flush = vm._flush
-
-    def op(th, frame):
-        vm.ts = ts = vm.ts + 1
-        frame.region_stack.append([rid, kind, start])
-        if is_loop:
-            th.loop_stack.append([rid, 0])
-            vm._intern_sig(th)
-        extend((kb, rid, start, kind_id, 0, th.tid, ts, 0, 0))
-        if len(buf) >= cap:
-            flush()
-        return nxt
-
-    return op
-
-
-def _make_exit(vm, pc, instr, traced):
-    nxt = pc + 1
-    rid = instr.a
-
-    def op(th, frame):
-        vm.ts += 1
-        stack = frame.region_stack
-        while stack:
-            entry = stack.pop()
-            vm._close_region_entry(th, frame, entry)
-            if entry[0] == rid:
-                break
-        return nxt
-
-    return op
-
-
-def _make_iter(vm, pc, instr, traced):
-    nxt = pc + 1
-    rid = instr.a
-    if not traced:
-
-        def op(th, frame):
-            vm.ts += 1
-            th.loop_stack[-1][1] += 1
-            return nxt
-
-        return op
-    ki = K_ITER
-    buf = vm._buffer
-    extend = buf.extend
-    cap = vm._flat_cap
-    flush = vm._flush
-
-    def op(th, frame):
-        vm.ts = ts = vm.ts + 1
-        top = th.loop_stack[-1]
-        top[1] += 1
-        vm._intern_sig(th)
-        extend((ki, rid, 0, 0, 0, th.tid, ts, 0, 0))
-        if len(buf) >= cap:
-            flush()
-        return nxt
-
-    return op
-
-
-def _make_spawn(vm, pc, instr, traced):
+def _make_spawn(vm, pc, instr):
     nxt = pc + 1
     fname = instr.a
     dest = instr.dest
@@ -1158,7 +724,7 @@ def _make_spawn(vm, pc, instr, traced):
     return op
 
 
-def _make_join(vm, pc, instr, traced):
+def _make_join(vm, pc, instr):
     from repro.runtime.interpreter import BLOCKED_JOIN, DONE, VMError
 
     me = pc
@@ -1185,7 +751,7 @@ def _make_join(vm, pc, instr, traced):
     return op
 
 
-def _make_lock(vm, pc, instr, traced):
+def _make_lock(vm, pc, instr):
     from repro.runtime.interpreter import BLOCKED_LOCK, VMError
 
     me = pc
@@ -1215,7 +781,7 @@ def _make_lock(vm, pc, instr, traced):
     return op
 
 
-def _make_unlock(vm, pc, instr, traced):
+def _make_unlock(vm, pc, instr):
     from repro.runtime.interpreter import RUNNABLE, VMError
 
     nxt = pc + 1
@@ -1244,7 +810,7 @@ def _make_unlock(vm, pc, instr, traced):
     return op
 
 
-def _make_parallel(vm, pc, instr, traced):
+def _make_parallel(vm, pc, instr):
     me = pc
 
     def op(th, frame):
@@ -1258,20 +824,6 @@ def _make_parallel(vm, pc, instr, traced):
 
 
 _MAKERS = {
-    "const": _make_const,
-    "bin": _make_bin,
-    "un": _make_un,
-    "load": _make_load,
-    "store": _make_store,
-    "addr": _make_addr,
-    "br": _make_br,
-    "jmp": _make_jmp,
-    "call": _make_call,
-    "callb": _make_callb,
-    "ret": _make_ret,
-    "enter": _make_enter,
-    "exit": _make_exit,
-    "iter": _make_iter,
     "spawn": _make_spawn,
     "join": _make_join,
     "lock": _make_lock,

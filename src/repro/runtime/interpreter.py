@@ -482,8 +482,8 @@ class VM:
     def _release_compiled(self) -> None:
         """Drop the compiled closure tables at the end of a run.
 
-        Compiled closures capture their VM, and the lazy untraced tables
-        hold self-replacing trampolines that reference their own
+        Compiled closures capture their VM, and the lazy tables hold
+        self-replacing trampolines that reference their own
         ``fns``/``alts`` lists, so a finished VM would otherwise wait in
         reference cycles — memory image included — for the next full
         collection.  Emptying the tables breaks both cycles and reference

@@ -9,10 +9,15 @@ threading, quanta, and the parallelize scheduler.
 
 from __future__ import annotations
 
+import math
+from functools import partial
+
 import numpy as np
 import pytest
 
+import repro.runtime.compile
 from repro.engine import DiscoveryConfig, DiscoveryEngine, DiscoveryResult
+from repro.frontend.lowering import compile_python_source
 from repro.mir.instructions import Instr, Opcode
 from repro.mir.lowering import compile_source
 from repro.parallelize import validate_plan
@@ -21,6 +26,7 @@ from repro.profiler.shadow import PerfectShadow
 from repro.runtime.compile import (
     INLINE_OPS,
     RUN_TERMINATORS,
+    CompiledCode,
     bigram_census,
     compile_function,
     find_runs,
@@ -53,6 +59,117 @@ def _store_of(trace):
 
 #: golden sample: textbook loops, NAS, recursion, apps, one threaded
 GOLDEN_WORKLOADS = ["pi", "fib", "fft", "mandelbrot", "md5-pthread"]
+
+#: 1e309 as a MiniC literal: MiniC has no exponent literals
+_BIG = "1" + "0" * 309 + ".0"
+
+#: constant operations at the edges of the number range, in both
+#: frontends: name -> (frontend, source, expected return value or the
+#: exception every core raises).  The divisions stay unfolded, so only
+#: the taken branch may raise; the overflowing floats fold into inf,
+#: -inf and nan immediates.
+EDGE_PROGRAMS = {
+    "dead_div_mc": (
+        "minic",
+        "int main() { int x; x = 0; if (x) { x = 1 / 0; } return x; }",
+        0,
+    ),
+    "taken_div_mc": (
+        "minic",
+        "int main() { int x; x = 1; if (x) { x = 1 / 0; } return x; }",
+        ZeroDivisionError,
+    ),
+    "inf_mc": (
+        "minic",
+        f"float main() {{ float big; big = {_BIG}; return big - 1.0; }}",
+        math.inf,
+    ),
+    "nan_mc": (
+        "minic",
+        f"float main() {{ float x; float y; x = {_BIG} - {_BIG}; "
+        f"y = -{_BIG}; return x + y; }}",
+        math.nan,
+    ),
+    "dead_div_py": (
+        "python",
+        "def main() -> int:\n    x = 0\n    if x:\n        x = 1 // 0\n"
+        "    return x\n",
+        0,
+    ),
+    "taken_div_py": (
+        "python",
+        "def main() -> int:\n    x = 1\n    if x:\n        x = 1 // 0\n"
+        "    return x\n",
+        ZeroDivisionError,
+    ),
+    "inf_py": (
+        "python",
+        "def main() -> float:\n    big = 1e308 * 10.0\n    return big - 1.0\n",
+        math.inf,
+    ),
+    "nan_py": (
+        "python",
+        "def main() -> float:\n    x = 1e308 * 10.0 - 1e308 * 10.0\n"
+        "    y = -(1e308 * 10.0)\n    return x + y\n",
+        math.nan,
+    ),
+}
+
+
+def _compile_edge(name):
+    frontend, source, _ = EDGE_PROGRAMS[name]
+    if frontend == "python":
+        return compile_python_source(source, name=name, filename=name)
+    return compile_source(source)
+
+
+def _expected_error(name):
+    """The exception every core raises on edge program ``name``, or None."""
+    expected = EDGE_PROGRAMS[name][2]
+    if isinstance(expected, type) and issubclass(expected, Exception):
+        return expected
+    return None
+
+
+def _nan_safe(values):
+    """``values`` with every NaN as one marker: NaN != NaN, and each run
+    computes its own NaN objects."""
+    return [("nan" if v != v else v) for v in values]
+
+
+def _outcomes(compile_module, entry, dispatch, raises):
+    """(traced, untraced) ``_run`` results of one core, or ``None`` each
+    after checking that both variants raise ``raises``."""
+    results = []
+    for instrument in (True, False):
+        if raises:
+            with pytest.raises(raises):
+                _run(compile_module(), entry, dispatch, instrument=instrument)
+            results.append(None)
+        else:
+            results.append(
+                _run(compile_module(), entry, dispatch, instrument=instrument)
+            )
+    return results
+
+
+def _assert_same_run(reference, other, *, rows=True):
+    """Return value, memory, output, steps and trace rows agree."""
+    if reference is None or other is None:
+        assert reference is other
+        return
+    r_ref, t_ref, vm_ref = reference
+    r_other, t_other, vm_other = other
+    assert _nan_safe([r_ref]) == _nan_safe([r_other])
+    assert _nan_safe(vm_ref.memory) == _nan_safe(vm_other.memory)
+    assert vm_ref.output == vm_other.output
+    assert vm_ref.total_steps == vm_other.total_steps
+    if not rows:
+        return
+    rows_ref = [c.rows for c in t_ref.iter_chunks()]
+    rows_other = [c.rows for c in t_other.iter_chunks()]
+    assert len(rows_ref) == len(rows_other)
+    assert all(np.array_equal(a, b) for a, b in zip(rows_ref, rows_other))
 
 
 class TestGoldenTraceEquivalence:
@@ -200,17 +317,86 @@ class TestCompilePass:
         census = bigram_census([module])
         assert sum(census.values()) == module.functions["main"].n_instrs - 1
 
-    def test_quantum_edge_uses_fallback(self):
-        """A quantum of 1 forces every dispatch through the alts table."""
-        w = get_workload("pi")
-        # two threads would be needed to cap the quantum; instead compare
-        # tiny-quantum threaded runs (covered above) with a direct check
-        # that single-step execution still matches the switch core
-        module_a, module_b = w.compile(1), w.compile(1)
-        r_s, t_s, vm_s = _run(module_a, w.entry, "switch", quantum=1)
-        r_c, t_c, vm_c = _run(module_b, w.entry, "compiled", quantum=1)
-        assert r_s == r_c
-        assert vm_s.total_steps == vm_c.total_steps
+    def test_quantum_edge_uses_fallback(self, monkeypatch):
+        """The single-instruction table alone reproduces the switch core.
+
+        A lone runnable thread runs with a huge quantum, so a real run
+        seldom reaches the quantum-edge fallback; a stand-in compiler
+        whose ``fns`` are its ``alts`` sends every dispatch there.
+        """
+        compiled_funcs = []
+
+        def singles_only(vm, func):
+            compiled = compile_function(vm, func)
+            compiled_funcs.append(func.name)
+            n = len(compiled.costs)
+            return CompiledCode(
+                compiled.alts, [1] * n, compiled.alts, compiled.traced
+            )
+
+        programs = [
+            (name, partial(get_workload(name).compile, 1),
+             get_workload(name).entry, None)
+            for name in GOLDEN_WORKLOADS + ["kmeans-pthread"]
+        ] + [
+            (name, partial(_compile_edge, name), "main",
+             _expected_error(name))
+            for name in sorted(EDGE_PROGRAMS)
+        ]
+        for name, compile_module, entry, raises in programs:
+            reference = _outcomes(compile_module, entry, "switch", raises)
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    repro.runtime.compile, "compile_function", singles_only
+                )
+                compiled_funcs.clear()
+                singles = _outcomes(compile_module, entry, "compiled", raises)
+                assert compiled_funcs, name
+            for ref, got in zip(reference, singles):
+                _assert_same_run(ref, got)
+
+
+class TestEdgeConstants:
+    """Edge constants run as in the switch core, and only when executed:
+    a dead constant division returns normally, a taken one raises, and a
+    folded inf, -inf or nan immediate evaluates to itself."""
+
+    @pytest.mark.parametrize("name", sorted(EDGE_PROGRAMS))
+    def test_four_cores_agree(self, name):
+        compile_module = partial(_compile_edge, name)
+        raises = _expected_error(name)
+        switch = _outcomes(compile_module, "main", "switch", raises)
+        compiled = _outcomes(compile_module, "main", "compiled", raises)
+        for ref, got in zip(switch, compiled):
+            _assert_same_run(ref, got)
+        # traced against untraced: everything but the trace
+        _assert_same_run(switch[0], switch[1], rows=False)
+
+    @pytest.mark.parametrize("name", sorted(EDGE_PROGRAMS))
+    def test_engine_matches_switch(self, name):
+        frontend, source, expected = EDGE_PROGRAMS[name]
+        engine = DiscoveryEngine(config=DiscoveryConfig(
+            source=source, name=name, entry="main", frontend=frontend,
+        ))
+        if _expected_error(name):
+            with pytest.raises(expected):
+                engine.run()
+            return
+        value = engine.run().return_value
+        switch_value, _, _ = _run(_compile_edge(name), "main", "switch")
+        if math.isnan(expected):
+            assert math.isnan(value) and math.isnan(switch_value)
+        else:
+            assert value == switch_value == expected
+
+    @pytest.mark.parametrize("name", ["inf_py", "nan_py"])
+    def test_python_matches_cpython(self, name):
+        _, source, _ = EDGE_PROGRAMS[name]
+        namespace: dict = {}
+        exec(source, namespace)
+        native = namespace["main"]()
+        value, _, _ = _run(_compile_edge(name), "main", "compiled")
+        assert _nan_safe([value]) == _nan_safe([native])
 
 
 class TestUntracedState:
