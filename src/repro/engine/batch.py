@@ -91,6 +91,17 @@ def config_for_job(job: dict) -> DiscoveryConfig:
     )
 
 
+def _job_frontend(job: dict) -> Optional[str]:
+    """The frontend a job's source goes through (None for a workload
+    name the registry does not hold; its job fails on its own)."""
+    if "workload" in job:
+        from repro.workloads import REGISTRY
+
+        workload = REGISTRY.get(job["workload"])
+        return workload.frontend if workload is not None else None
+    return job.get("frontend", "minic")
+
+
 def _resumed_row(saved: dict, t0: float) -> dict:
     row = dict(saved)
     row.update(
@@ -385,6 +396,11 @@ def run_batch(
             }
         else:
             runnable.append((i, job))
+
+    if any(_job_frontend(job) == "python" for _, job in runnable):
+        # workers forked below inherit the Python frontend instead of
+        # each importing it on its first Python job
+        import repro.frontend.lowering  # noqa: F401
 
     if job_timeout is not None:
         # wall-clock caps need a dedicated process per job so a

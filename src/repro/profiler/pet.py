@@ -27,6 +27,7 @@ from repro.runtime.events import (
     K_FENTRY,
     K_FEXIT,
     K_WRITE,
+    stack_markers,
 )
 
 
@@ -121,10 +122,11 @@ class PETBuilder:
     def process_chunk(self, chunk: EventChunk) -> None:
         """PET construction with batched block attribution.
 
-        The tree only changes shape at control markers; between two
-        markers every memory event of a thread lands in the same block
-        node and attributes to the same enclosing stack.  Runs of memory
-        events are therefore split out vectorized and attributed *per
+        The tree only changes shape at BGN/END/FENTRY/FEXIT; between two
+        such markers every memory event of a thread lands in the same
+        block node and attributes to the same enclosing stack.  The
+        memory rows are therefore split into runs at those four kinds only
+        (ITER and the other rows change nothing here) and attributed *per
         run* — one counter bump and one ``set.update`` per (run, thread)
         instead of per event.
         """
@@ -133,23 +135,25 @@ class PETBuilder:
         if n == 0:
             return
         kinds = rows[:, COL_KIND]
-        markers = np.nonzero(kinds > K_WRITE)[0].tolist()
-        lines_col = rows[:, COL_LINE]
-        tids_col = rows[:, COL_TID]
-        # single-threaded chunks (the common case) skip the per-segment
+        markers = stack_markers(kinds)
+        mem = np.flatnonzero(kinds <= K_WRITE)
+        lines_col = rows[mem, COL_LINE]
+        tids_col = rows[mem, COL_TID]
+        # single-threaded chunks (the common case) skip the per-run
         # thread split entirely: one vectorized check for the whole chunk
-        tid0 = int(tids_col[0])
+        tid0 = int(tids_col[0]) if mem.shape[0] else 0
         chunk_single = bool((tids_col == tid0).all())
         names = chunk.strings.values
+        ends = np.searchsorted(mem, markers).tolist() + [mem.shape[0]]
         start = 0
-        for ci in markers + [n]:
-            if ci > start:
+        for ci, end in zip(markers.tolist() + [n], ends):
+            if end > start:
                 if chunk_single:
                     self._attribute_run(
-                        tid0, lines_col[start:ci], ci - start
+                        tid0, lines_col[start:end], end - start
                     )
                 else:
-                    seg_tids = tids_col[start:ci]
+                    seg_tids = tids_col[start:end]
                     uniq, first = np.unique(seg_tids, return_index=True)
                     single = uniq.shape[0] == 1
                     if not single:
@@ -158,11 +162,11 @@ class PETBuilder:
                         uniq = uniq[np.argsort(first)]
                     for tid in uniq.tolist():
                         if single:
-                            seg_lines = lines_col[start:ci]
-                            count = ci - start
+                            seg_lines = lines_col[start:end]
+                            count = end - start
                         else:
                             mask = seg_tids == tid
-                            seg_lines = lines_col[start:ci][mask]
+                            seg_lines = lines_col[start:end][mask]
                             count = int(mask.sum())
                         self._attribute_run(tid, seg_lines, count)
             if ci < n:
@@ -185,7 +189,7 @@ class PETBuilder:
                     )
                 elif k == K_FEXIT:
                     self._leave(row[COL_TID], "function")
-            start = ci + 1
+            start = end
 
     def _attribute_run(self, tid: int, seg_lines, count: int) -> None:
         """Attribute a marker-free run of memory events to one thread."""

@@ -110,6 +110,14 @@ def _multiarange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return starts[reps] + np.arange(total) - offsets[reps]
 
 
+def _widened(arr: np.ndarray, rows: int, width: int, pad: int) -> np.ndarray:
+    """``arr`` copied into a ``(rows, width)`` int64 matrix padded with
+    ``pad``."""
+    out = np.full((rows, width), pad, dtype=np.int64)
+    out[: arr.shape[0], : arr.shape[1]] = arr
+    return out
+
+
 def _bits(arr: np.ndarray, lo: int = 0) -> int:
     """Bit width needed for ``arr``'s maximum (at least ``lo``)."""
     if arr.shape[0] == 0:
@@ -286,8 +294,8 @@ class VectorizedProfiler:
         #: the stream's signature table, decoded into the matrices below
         self._sigs: Optional[SignatureTable] = None
         self._sig_n = 0
-        self._sig_regs = np.zeros((0, SIG_DEPTH_CAP), dtype=np.int64)
-        self._sig_pack = np.zeros((0, SIG_DEPTH_CAP), dtype=np.int64)
+        self._sig_regs = np.zeros((0, 0), dtype=np.int64)
+        self._sig_pack = np.zeros((0, 0), dtype=np.int64)
         self._sig_deep = np.zeros(0, dtype=bool)
 
     # -- signature matrices --------------------------------------------
@@ -314,20 +322,14 @@ class VectorizedProfiler:
         matrix (never equal to a real region, so a depth mismatch at the
         first differing column reads as "different loops" — exactly the
         reference scan's stop-at-exhaustion).
+
+        The matrices have one row per signature the bound table holds
+        when they grow, and one column per level of the deepest signature
+        decoded so far (at most :data:`SIG_DEPTH_CAP`): a whole-trace
+        run interns tens of thousands of shallow signatures.
         """
         if max_id < self._sig_n:
             return
-        cap = self._sig_regs.shape[0]
-        if max_id >= cap:
-            new_cap = max(2 * cap, max_id + 1, 256)
-            regs = np.full((new_cap, SIG_DEPTH_CAP), -2, dtype=np.int64)
-            pack = np.full((new_cap, SIG_DEPTH_CAP), -1, dtype=np.int64)
-            deep = np.zeros(new_cap, dtype=bool)
-            regs[:cap] = self._sig_regs
-            pack[:cap] = self._sig_pack
-            deep[: self._sig_deep.shape[0]] = self._sig_deep
-            self._sig_regs, self._sig_pack = regs, pack
-            self._sig_deep = deep
         values = self._sigs.values
         if max_id >= len(values):
             raise IndexError(f"signature id {max_id} is not in the table")
@@ -352,6 +354,17 @@ class VectorizedProfiler:
                 easy[np.repeat(
                     np.arange(len(decoded)), counts
                 )[bad_vals]] = False
+        rows, width = self._sig_regs.shape
+        depth = int(counts[easy].max()) if easy.any() else 0
+        if max_id >= rows or depth > width:
+            rows = len(values) if max_id >= rows else rows
+            width = max(width, depth)
+            # one matrix at a time, so only one old copy is alive
+            self._sig_regs = _widened(self._sig_regs, rows, width, -2)
+            self._sig_pack = _widened(self._sig_pack, rows, width, -1)
+            deep = np.zeros(rows, dtype=bool)
+            deep[: self._sig_deep.shape[0]] = self._sig_deep
+            self._sig_deep = deep
         self._sig_deep[sids[~easy]] = True
         fill = np.repeat(easy, counts)
         rows_idx = np.repeat(sids, counts)[fill]

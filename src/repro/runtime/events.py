@@ -534,6 +534,14 @@ def load_trace(path: str) -> TraceSink:
     return sink
 
 
+def stack_markers(kinds: np.ndarray) -> np.ndarray:
+    """Positions of the BGN/END/FENTRY/FEXIT rows in a kind column: the
+    only rows that open or close a region on a thread's stack."""
+    return np.flatnonzero(
+        (kinds >= K_BGN) & (kinds <= K_FEXIT) & (kinds != K_ITER)
+    )
+
+
 def add_line_counts(counts: dict, chunk: EventChunk) -> None:
     """Add one chunk's memory-event count per source line to ``counts``."""
     rows = chunk.rows

@@ -1,6 +1,7 @@
 """Tests for Chapter 3: computational units."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cu import (
     build_cu_graph,
@@ -9,13 +10,26 @@ from repro.cu import (
     effective_global_vars,
 )
 from repro.cu.graph import container_cus
+from repro.cu.topdown import TopDownBuilder
 from repro.cu.variables import RET_VAR, read_write_sets
 from repro.mir.lowering import compile_source
 from repro.profiler.deps import DepType
-from repro.runtime.events import TraceSink
+from repro.runtime.events import (
+    K_BGN,
+    K_END,
+    K_FENTRY,
+    K_FEXIT,
+    K_ITER,
+    K_READ,
+    K_WRITE,
+    TraceSink,
+)
 from repro.runtime.interpreter import VM
 from repro.profiler.serial import SerialProfiler
 from repro.profiler.shadow import PerfectShadow
+from repro.workloads import REGISTRY, get_workload
+from tests.conftest import make_chunk
+from tests.cu_reference import ReferenceTopDownBuilder
 
 FIG34 = """int x;
 int main() {
@@ -296,3 +310,217 @@ int main() {
         # lines than the whole region
         region_lines = main_region.end_line - main_region.start_line + 1
         assert all(len(cu.lines) <= region_lines for cu in bu.cus)
+
+
+# ---------------------------------------------------------------------------
+# the columnar builder against the per-event reference walk
+# ---------------------------------------------------------------------------
+
+def _recorded(name: str):
+    """(module, trace) of a registry workload at scale 1."""
+    workload = get_workload(name)
+    module = workload.compile(1)
+    trace = TraceSink()
+    VM(module, trace).run(workload.entry)
+    return module, trace
+
+
+def _built(builder, calls):
+    """Feed ``calls`` (each a list of chunks) to ``builder``, one
+    ``process_chunks`` per call; return the registry and line counts."""
+    for chunks in calls:
+        builder.process_chunks(chunks)
+    return builder.build().to_dict(), builder.line_counts
+
+
+def _pieces(chunks, size: int, limit: int):
+    """The first ``limit`` rows of a chunk stream, re-cut into
+    ``size``-row chunks."""
+    out = []
+    for chunk in chunks:
+        for start in range(0, len(chunk), size):
+            if limit <= 0:
+                return out
+            piece = chunk.take(slice(start, start + min(size, limit)))
+            out.append(piece)
+            limit -= len(piece)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_topdown_equals_reference(name):
+    module, trace = _recorded(name)
+    want = _built(ReferenceTopDownBuilder(module), [trace.iter_chunks()])
+    got = _built(TopDownBuilder(module), [trace.iter_chunks()])
+    assert got[0] == want[0]
+    # same counts, inserted in the same order
+    assert list(got[1].items()) == list(want[1].items())
+
+
+#: recursive, threaded and branchy traces
+BATCHING = ("fib", "sort", "nqueens", "health", "kmeans-pthread",
+            "md5-pthread", "splash2x-ocean", "facedetection")
+
+
+@pytest.mark.parametrize("name", BATCHING)
+def test_topdown_batch_boundaries_carry_no_meaning(name):
+    # one process_chunks call per piece puts a batch boundary after
+    # every piece; the tiny pieces cover a prefix of the trace
+    module, trace = _recorded(name)
+    for size, limit in ((1, 1500), (7, 7000), (61, len(trace))):
+        pieces = _pieces(trace.iter_chunks(), size, limit)
+        whole = _built(TopDownBuilder(module), [pieces])
+        cut = _built(TopDownBuilder(module), [[p] for p in pieces])
+        assert cut[0] == whole[0], (size, limit)
+        assert cut[1] == whole[1], (size, limit)
+
+
+class TestTopDownEpochs:
+    """Hand-built traces over one loop nest (the rows name real region
+    and variable ids of :data:`NEST`)."""
+
+    NEST = """int x;
+int main() {
+  for (int i = 0; i < 4; i++) {
+    x = x + 1;
+    for (int j = 0; j < 2; j++) {
+      x = x + j;
+    }
+  }
+  return x;
+}
+"""
+
+    @pytest.fixture
+    def nest(self):
+        module = compile_source(self.NEST)
+        outer, inner = sorted(module.loops(), key=lambda r: r.start_line)
+        (x,) = [v for v in effective_global_vars(module, outer)
+                if module.var(v).name == "x"]
+        return module, outer.region_id, inner.region_id, x
+
+    @staticmethod
+    def row(kind, tid=0, region=0, line=0, name=0, var=0):
+        return [kind, region, line, name, 0, tid, 0, 0, var]
+
+    def build(self, module, *calls):
+        """Registry dict of the columnar builder, one process_chunks per
+        call, checked against the reference walk."""
+        chunks = [make_chunk(rows) for rows in calls]
+        got = _built(TopDownBuilder(module), [[c] for c in chunks])
+        want = _built(ReferenceTopDownBuilder(module), [chunks])
+        assert got == want
+        return {r["region_id"]: r for r in got[0]["regions"]}
+
+    def test_write_then_read_in_next_call_violates(self, nest):
+        module, outer, _, x = nest
+        r = self.row
+        regions = self.build(
+            module,
+            [r(K_FENTRY, name="main"), r(K_BGN, region=outer, line=3),
+             r(K_ITER, region=outer), r(K_WRITE, line=4, var=x)],
+            [r(K_READ, line=4, var=x)],
+        )
+        assert regions[outer]["violations"] == [[4, x]]
+
+    def test_iter_between_write_and_read_resets(self, nest):
+        module, outer, _, x = nest
+        r = self.row
+        regions = self.build(
+            module,
+            [r(K_FENTRY, name="main"), r(K_BGN, region=outer, line=3),
+             r(K_WRITE, line=4, var=x)],
+            [r(K_ITER, region=outer), r(K_READ, line=4, var=x)],
+        )
+        assert regions[outer]["violations"] == []
+
+    def test_iter_resets_only_the_innermost_instance(self, nest):
+        # a recursive call reopens the loop: the ITER belongs to the new
+        # instance, and the older one still sees its own write
+        module, outer, _, x = nest
+        r = self.row
+        regions = self.build(
+            module,
+            [r(K_FENTRY, name="main"), r(K_BGN, region=outer, line=3),
+             r(K_WRITE, line=4, var=x), r(K_BGN, region=outer, line=3),
+             r(K_ITER, region=outer), r(K_READ, line=4, var=x)],
+        )
+        assert regions[outer]["violations"] == [[4, x]]
+
+    def test_end_of_outer_region_pops_inner_too(self, nest):
+        module, outer, inner, x = nest
+        r = self.row
+        regions = self.build(
+            module,
+            [r(K_FENTRY, name="main"), r(K_BGN, region=outer, line=3),
+             r(K_BGN, region=inner, line=5), r(K_END, region=outer),
+             r(K_WRITE, line=6, var=x), r(K_READ, line=6, var=x)],
+        )
+        # only main was still open at the write and the read
+        assert regions[outer]["violations"] == []
+        assert regions[inner]["violations"] == []
+        main = module.region_of_function("main").region_id
+        assert regions[main]["violations"] == [[6, x]]
+
+    def test_interleaved_threads_keep_separate_stacks(self, nest):
+        module, outer, _, x = nest
+        r = self.row
+        opened = [r(K_FENTRY, tid=t, name="main") for t in (0, 1)] + [
+            r(K_BGN, tid=t, region=outer, line=3) for t in (0, 1)
+        ]
+        # thread 1 never wrote x: its read sees no write of its epoch
+        regions = self.build(
+            module,
+            opened + [r(K_WRITE, tid=0, line=4, var=x),
+                      r(K_READ, tid=1, line=4, var=x)],
+        )
+        assert regions[outer]["violations"] == []
+        regions = self.build(
+            module,
+            opened + [r(K_WRITE, tid=0, line=4, var=x),
+                      r(K_ITER, tid=1, region=outer),
+                      r(K_READ, tid=0, line=4, var=x)],
+        )
+        assert regions[outer]["violations"] == [[4, x]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_rows_match_reference(self, data):
+        # any row sequence, cut anywhere and fed call by call: unmatched
+        # closes, ITERs of closed regions, unknown functions, three
+        # threads, variables global to no region
+        module = compile_source(self.NEST)
+        regions = sorted(module.regions)
+        variables = sorted(effective_global_vars(
+            module, module.region_of_function("main")
+        ))
+        row = st.one_of(
+            st.builds(
+                self.row, st.sampled_from([K_READ, K_WRITE]),
+                tid=st.integers(0, 2), line=st.integers(1, 11),
+                var=st.sampled_from(variables + [-1, 99]),
+            ),
+            st.builds(
+                self.row, st.sampled_from([K_BGN, K_END, K_ITER]),
+                tid=st.integers(0, 2), region=st.sampled_from(regions),
+            ),
+            st.builds(
+                self.row, st.sampled_from([K_FENTRY, K_FEXIT]),
+                tid=st.integers(0, 2), name=st.sampled_from(["main", "rand"]),
+            ),
+        )
+        rows = data.draw(st.lists(row, min_size=1, max_size=120))
+        cuts = sorted(data.draw(st.sets(st.integers(1, len(rows)))))
+        calls = [rows[a:b] for a, b in zip([0] + cuts, cuts + [len(rows)])]
+        self.build(module, *[c for c in calls if c])
+
+    def test_call_of_a_function_without_region_is_ignored(self, nest):
+        module, outer, _, x = nest
+        r = self.row
+        regions = self.build(
+            module,
+            [r(K_FENTRY, name="main"), r(K_BGN, region=outer, line=3),
+             r(K_FENTRY, name="rand"), r(K_WRITE, line=4, var=x),
+             r(K_FEXIT, name="rand"), r(K_READ, line=4, var=x)],
+        )
+        assert regions[outer]["violations"] == [[4, x]]

@@ -137,3 +137,21 @@ def test_lazy_names_are_the_defining_modules_objects():
         "assert repro.profiler.SkippingProfiler is SkippingProfiler\n"
         "assert repro.engine.run_batch is repro.engine.batch.run_batch\n"
     )
+
+
+def _batch(workloads) -> set:
+    return modules_after(
+        "from repro.engine.batch import job_for_workload, run_batch\n"
+        f"jobs = [job_for_workload(name) for name in {workloads!r}]\n"
+        "rows = run_batch(jobs, jobs_parallel=2)\n"
+        "assert all(row['ok'] for row in rows), rows\n"
+    )
+
+
+def test_run_batch_imports_the_python_frontend_before_forking():
+    # the pool workers inherit it instead of importing it per worker
+    assert "repro.frontend.lowering" in _batch(["histogram_py", "fib"])
+
+
+def test_minic_batch_leaves_the_python_frontend_unloaded():
+    assert "repro.frontend.lowering" not in _batch(["fib", "sort"])

@@ -32,6 +32,7 @@ from repro.runtime.events import (
     EVENT_DTYPE,
     EVENT_NBYTES,
     EventChunk,
+    K_ITER,
     K_READ,
     K_WRITE,
     N_COLS,
@@ -332,6 +333,41 @@ class TestSkippingAndPET:
                     pet.process_chunk(chunk)
                 trees.append(pet.format_tree(max_depth=12))
             assert trees[0] == trees[1], name
+
+
+def pet_of(chunks) -> list:
+    """Every PET node in walk order: ids, child order, counts, lines."""
+    pet = PETBuilder()
+    for chunk in chunks:
+        pet.process_chunk(chunk)
+    return [
+        (node.node_id, node.kind, node.name, node.line, node.executions,
+         node.iterations, node.memory_instructions,
+         sorted(node.lines_touched), [c.node_id for c in node.children])
+        for node in pet.root.walk()
+    ]
+
+
+@pytest.mark.parametrize(
+    "name", [TEXTBOOK, NAS, "fib", "md5-pthread", "kmeans-pthread"]
+)
+class TestPETRuns:
+    """Only BGN/END/FENTRY/FEXIT shape the PET."""
+
+    def test_iter_rows_change_nothing(self, name):
+        workload = get_workload(name)
+        trace, _ = record(workload.compile(1), workload.entry)
+        without = (
+            chunk.take(chunk.kind != K_ITER) for chunk in trace.iter_chunks()
+        )
+        assert pet_of(without) == pet_of(trace.iter_chunks())
+
+    def test_rechunked_trace_same_pet(self, name):
+        workload = get_workload(name)
+        trace, _ = record(workload.compile(1), workload.entry)
+        whole = pet_of(trace.iter_chunks())
+        for size in (7, 61):
+            assert pet_of(rechunk(trace, size)) == whole, size
 
 
 class TestCUWalk:
