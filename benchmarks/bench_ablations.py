@@ -1,4 +1,5 @@
-"""Ablation benches for the design choices DESIGN.md calls out:
+"""Ablation benches for the profiler's design choices (the parallel
+profiler's are in docs/DETECT.md, "The §2.3.3 parallel profiler"):
 
 * runtime dependence merging on/off (the §2.3.5 output-size factor);
 * hot-address redistribution on/off (parallel load balance);

@@ -1,10 +1,11 @@
 """Chapter 2 performance benches: Figures 2.9–2.13, Table 2.7.
 
 Slowdowns are measured against the uninstrumented VM run (the substrate's
-"native" execution).  For the parallel profiler, wall-clock numbers are
-reported alongside the calibrated pipeline cost model (see DESIGN.md: the
-GIL serialises pure-Python workers, so the scaling *shape* is carried by
-the measured per-worker work distribution + calibrated per-event costs).
+"native" execution).  For the parallel profiler the slowdowns are modeled
+by the calibrated pipeline cost model (docs/DETECT.md, "The §2.3.3
+parallel profiler": the GIL serialises the worker threads, so the scaling
+*shape* is carried by the measured per-worker work distribution and
+calibrated per-event costs).
 """
 
 from __future__ import annotations
@@ -95,8 +96,8 @@ def test_fig_2_9_profiler_performance(one_round):
     emit(
         "fig_2_9",
         fmt_table(
-            ["program", "serial", "8T lock-based", "8T lock-free",
-             "16T lock-free", "mem16T MB"],
+            ["program", "serial", "8T lock-based model",
+             "8T lock-free model", "16T lock-free model", "mem16T MB"],
             rows + [avg],
         ),
     )

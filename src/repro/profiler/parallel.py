@@ -1,31 +1,41 @@
 """The parallel data-dependence profiler (§2.3.3).
 
 Architecture (Fig. 2.2): the producer — the thread executing the target
-program — collects memory accesses in chunks and pushes each chunk to the
-queue of the worker that owns its addresses; workers consume chunks, run the
-serial profiling algorithm on their address shard, and store dependences in
-thread-local maps that are merged at the end.
+program — collects memory accesses in chunks and pushes every worker its
+share of each chunk; workers run the vectorized detection core on their
+address shard and store dependences in thread-local maps that are merged
+at the end.
 
-* Sharding: ``worker = addr % W`` (Formula 2.1), overridden for hot
-  addresses by the redistribution map (higher priority than the modulo
-  function, as in the paper).
+* Sharding: :func:`~repro.profiler.vectorized.shard_rows`, the partition
+  the sharded detector uses too: ``worker = addr % W`` (Formula 2.1),
+  overridden for hot addresses by the redistribution map (higher
+  priority than the modulo function, as in the paper), and every FREE
+  row to every worker at its place in the trace.  The producer folds
+  the BGN/END rows itself, with the vectorized detector's
+  ``track_control_rows``.
 * Load balancing: per-address access counts are kept; every
   ``redistribute_every`` chunks the top-ten hottest addresses are spread
-  evenly over workers, moving their signature state along.
+  evenly over workers.  A move is a *give* message to the old owner,
+  which pops the address's shadow state, then a *take* to the new owner,
+  which waits for that state and installs it; the address's later
+  chunks follow the *take*, so each worker applies the move where the
+  serial order puts it, and the producer never touches worker state.
 * Queues: lock-free-style SPSC by default, mutex-based as the Fig. 2.9
   "lock-based" baseline, MPSC (Fig. 2.5) for multi-producer setups.
 
-Two execution modes:
+Two execution modes share that message path:
 
 * ``threaded`` — real Python worker threads consuming from the queues.
   Faithful architecture, measurable wall clock; CPython's GIL serialises
-  the pure-Python workers, so wall-clock *speedup* is not reproducible on
-  this substrate (documented substitution in DESIGN.md).
-* ``simulated`` — deterministic in-line execution that tallies per-worker
-  work units; :func:`modeled_times` turns the tallies plus calibrated
-  per-event costs into the pipeline-model wall times the performance
-  figures report (producer/consumer overlap: wall = max(producer, slowest
-  worker) + merge).
+  the workers, so wall-clock *speedup* is not reproducible on this
+  substrate (docs/DETECT.md, "The §2.3.3 parallel profiler").  A failed
+  worker keeps draining its queue and answers each *give* with an empty
+  state, so no peer waits forever; ``finish`` re-raises its exception.
+* ``simulated`` — the same messages applied inline, in push order, with
+  per-worker work-unit tallies; :func:`modeled_times` turns the tallies
+  plus calibrated per-event costs into the modeled pipeline wall times
+  the performance figures report (producer/consumer overlap: wall =
+  max(producer, slowest worker) + merge).
 """
 
 from __future__ import annotations
@@ -40,10 +50,11 @@ import numpy as np
 from repro.profiler.deps import DependenceStore
 from repro.profiler.queues import DONE, make_queue
 from repro.profiler.serial import ControlRecord, SerialProfiler
-from repro.profiler.shadow import PerfectShadow, SignatureShadow
+from repro.profiler.shadow import PerfectShadow
 from repro.profiler.vectorized import (
-    DEFAULT_BATCH_EVENTS,
     VectorizedProfiler,
+    shard_rows,
+    track_control_rows,
 )
 from repro.runtime.events import (
     COL_ADDR,
@@ -54,9 +65,6 @@ from repro.runtime.events import (
     COL_TS,
     N_COLS,
     EventChunk,
-    K_BGN,
-    K_END,
-    K_FREE,
     K_READ,
     K_WRITE,
     StringTable,
@@ -86,6 +94,18 @@ class ParallelReport:
         return max(self.work_units) / mean if mean else 1.0
 
 
+class _Handoff:
+    """One hot address's shadow state on its way between two workers."""
+
+    __slots__ = ("addr", "state", "ready")
+
+    def __init__(self, addr: int) -> None:
+        self.addr = addr
+        #: ``(last_write, reads)``; stays empty if the old owner failed
+        self.state = (None, [])
+        self.ready = threading.Event()
+
+
 class ParallelProfiler:
     """Producer/consumer profiler; acts as a VM chunk sink."""
 
@@ -97,51 +117,18 @@ class ParallelProfiler:
         queue_kind: str = "spsc",
         mode: str = "simulated",
         redistribute_every: int = 50_000,
-        queue_capacity: int = 1 << 12,
-        lifetime_analysis: bool = True,
-        detect: str = "vectorized",
     ) -> None:
         if n_workers <= 0:
             raise ValueError("need at least one worker")
         if mode not in ("simulated", "threaded"):
             raise ValueError(f"unknown mode {mode!r}")
-        if detect not in ("loop", "vectorized"):
-            raise ValueError(
-                f"unknown detection core {detect!r} "
-                "(expected 'loop' or 'vectorized')"
-            )
         self.n_workers = n_workers
         self.mode = mode
         self.queue_kind = queue_kind
-        self.detect = detect
         self.redistribute_every = redistribute_every
-
-        def _shadow():
-            if signature_slots is None:
-                return PerfectShadow()
-            return SignatureShadow(signature_slots)
-
-        def _worker():
-            if detect == "vectorized":
-                return VectorizedProfiler(
-                    signature_slots,
-                    lifetime_analysis=lifetime_analysis,
-                    track_control=False,
-                    # threaded mode: the producer must never flush a
-                    # worker's staged batches while its thread consumes
-                    # (rebalance state moves), so workers detect each
-                    # shard immediately instead of batching
-                    batch_events=(
-                        DEFAULT_BATCH_EVENTS if mode == "simulated" else 0
-                    ),
-                )
-            return SerialProfiler(
-                _shadow(),
-                lifetime_analysis=lifetime_analysis,
-                track_control=False,
-            )
-
-        self.workers = [_worker() for _ in range(n_workers)]
+        self.workers = [
+            VectorizedProfiler(signature_slots) for _ in range(n_workers)
+        ]
         self.report = ParallelReport(n_workers, queue_kind,
                                      work_units=[0] * n_workers)
         self.control: dict[int, ControlRecord] = {}
@@ -150,13 +137,13 @@ class ParallelProfiler:
         self._access_counts: dict[int, int] = {}
         self._chunks_since_rebalance = 0
         self._started = time.perf_counter()
+        #: the first exception each threaded worker raised
+        self._errors: list[Optional[Exception]] = [None] * n_workers
 
         self._queues = None
         self._threads: list[threading.Thread] = []
         if mode == "threaded":
-            self._queues = [
-                make_queue(queue_kind, queue_capacity) for _ in range(n_workers)
-            ]
+            self._queues = [make_queue(queue_kind) for _ in range(n_workers)]
             for w in range(n_workers):
                 thread = threading.Thread(
                     target=self._worker_loop, args=(w,), daemon=True
@@ -172,89 +159,77 @@ class ParallelProfiler:
         self.process_chunk(chunk)
 
     def process_chunk(self, chunk: EventChunk) -> None:
-        """Vectorized sharding of a packed chunk (Formula 2.1 on a column).
+        """Fold control records, count accesses, send every worker its shard.
 
-        ``addr % W`` runs over the whole address column at once; the
-        redistribution overrides — a handful of hot addresses — are then
-        patched in with one boolean mask each.  Each worker receives its
-        shard as a sub-:class:`EventChunk` (order preserved, string and
-        signature tables shared), with the chunk's FREE events broadcast:
-        appended to every non-empty shard.
+        Each worker receives its :func:`shard_rows` subset as a
+        sub-:class:`EventChunk` (trace order kept, string and signature
+        tables shared); a worker with no rows in the chunk gets nothing.
         """
         rows = chunk.rows
-        n_workers = self.n_workers
         kinds = rows[:, COL_KIND]
-        mem_mask = kinds <= K_WRITE
-        mem = rows[mem_mask]
-        n_mem = mem.shape[0]
-        free_rows = None
-        other_mask_any = n_mem != rows.shape[0]
-        if other_mask_any:
-            free_rows = rows[kinds == K_FREE]
-            if free_rows.shape[0] == 0:
-                free_rows = None
-            # control records (BGN/END aggregate in the producer)
-            ctrl_idx = np.nonzero((kinds == K_BGN) | (kinds == K_END))[0]
-            if ctrl_idx.shape[0]:
-                names = chunk.strings.values
-                for row in rows[ctrl_idx].tolist():
-                    rec = self.control.get(row[COL_ADDR])
-                    if rec is None:
-                        rec = ControlRecord(
-                            row[COL_ADDR], names[row[COL_NAME]],
-                            row[COL_LINE], row[COL_LINE],
-                        )
-                        self.control[row[COL_ADDR]] = rec
-                    if row[COL_KIND] == K_BGN:
-                        rec.executions += 1
-                    else:
-                        rec.end_line = max(rec.end_line, row[COL_LINE])
-                        rec.total_iterations += row[COL_AUX]
-        workers = None
-        if n_mem:
-            addrs = mem[:, COL_ADDR]
-            workers = addrs % n_workers
-            for addr, worker in self._override.items():
-                workers[addrs == addr] = worker
-            # per-address access counts for the load balancer, vectorized
+        track_control_rows(self.control, rows.T, kinds, chunk.strings.values)
+        addrs = rows[kinds <= K_WRITE, COL_ADDR]
+        if addrs.shape[0]:
+            # per-address access counts for the load balancer
             uniq, counts = np.unique(addrs, return_counts=True)
             access_counts = self._access_counts
             for addr, count in zip(uniq.tolist(), counts.tolist()):
                 access_counts[addr] = access_counts.get(addr, 0) + count
-            self.report.produced_events += n_mem
-        if n_mem or free_rows is not None:
-            strings, sigs = chunk.strings, chunk.sigs
-            for w in range(n_workers):
-                shard = mem[workers == w] if n_mem else mem
-                if free_rows is not None:
-                    if shard.shape[0]:
-                        shard = np.concatenate((shard, free_rows))
-                    else:
-                        shard = free_rows
-                if shard.shape[0]:
-                    self._dispatch(w, EventChunk(shard, strings, sigs))
+            self.report.produced_events += addrs.shape[0]
+        parts = shard_rows(
+            rows, self.n_workers, range(self.n_workers), self._override
+        )
+        for w, part in enumerate(parts):
+            if part.shape[0]:
+                self._send(w, EventChunk(part, chunk.strings, chunk.sigs))
         self.report.produced_chunks += 1
         self._chunks_since_rebalance += 1
         if self._chunks_since_rebalance >= self.redistribute_every:
             self._rebalance()
             self._chunks_since_rebalance = 0
 
-    def _dispatch(self, worker: int, part: EventChunk) -> None:
+    def _send(self, worker: int, item) -> None:
+        """Hand ``worker`` a shard or a move: inline, or through its queue."""
         if self.mode == "simulated":
-            self.workers[worker].process_chunk(part)
-            self.report.work_units[worker] += len(part)
+            self._apply(worker, item)
         else:
-            self._queues[worker].push(part)
+            self._queues[worker].push(item)
+
+    # ------------------------------------------------------------------
+    # worker side
+    # ------------------------------------------------------------------
+
+    def _apply(self, worker: int, item) -> None:
+        """Run one message on ``worker``: a shard, a *give* or a *take*."""
+        profiler = self.workers[worker]
+        if isinstance(item, EventChunk):
+            profiler.process_chunk(item)
+            self.report.work_units[worker] += len(item)
+            return
+        op, handoff = item
+        if op == "give":
+            try:
+                handoff.state = profiler.pop_address_state(handoff.addr)
+            finally:
+                handoff.ready.set()
+        else:
+            handoff.ready.wait()
+            profiler.put_address_state(handoff.addr, handoff.state)
 
     def _worker_loop(self, worker: int) -> None:
         queue = self._queues[worker]
-        profiler = self.workers[worker]
         while True:
-            part = queue.pop()
-            if part is DONE:
+            item = queue.pop()
+            if item is DONE:
                 return
-            profiler.process_chunk(part)
-            self.report.work_units[worker] += len(part)
+            if self._errors[worker] is None:
+                try:
+                    self._apply(worker, item)
+                except Exception as exc:  # finish() re-raises it
+                    self._errors[worker] = exc
+            elif isinstance(item, tuple) and item[0] == "give":
+                # a failed worker gives an empty state: no take may hang
+                item[1].ready.set()
 
     # ------------------------------------------------------------------
     # hot-address redistribution (§2.3.3 "Load balancing")
@@ -264,13 +239,6 @@ class ParallelProfiler:
         counts = self._access_counts
         if not counts:
             return
-        if self.mode == "simulated":
-            # vectorized workers stage chunks; state moves need the
-            # frontier current (threaded workers run unbatched, and
-            # flushing them from the producer would race their thread)
-            for worker in self.workers:
-                if isinstance(worker, VectorizedProfiler):
-                    worker.flush()
         hottest = sorted(counts.items(), key=lambda kv: kv[1], reverse=True)[:top_n]
         n_workers = self.n_workers
         for rank, (addr, _count) in enumerate(hottest):
@@ -278,50 +246,35 @@ class ParallelProfiler:
             desired = rank % n_workers
             if current == desired:
                 continue
-            if self.mode == "threaded":
-                # A state move is only safe when the old worker's queue has
-                # drained the address's pending accesses; the paper pauses
-                # redistribution similarly.  We skip the move under load.
-                if len(self._queues[current]) > 0:
-                    continue
-            self._move_address(addr, current, desired)
+            # give, then take, then every later chunk of the address
+            handoff = _Handoff(addr)
+            self._send(current, ("give", handoff))
+            self._send(desired, ("take", handoff))
             self._override[addr] = desired
             self.report.redistributions += 1
-
-    def _move_address(self, addr: int, src: int, dst: int) -> None:
-        """Move an address's signature state between workers."""
-        src_prof = self.workers[src]
-        dst_prof = self.workers[dst]
-        if isinstance(src_prof, VectorizedProfiler):
-            # frontier-to-frontier move: pop the address's array-backed
-            # state wholesale and install it on the receiving worker
-            dst_prof.put_address_state(addr, src_prof.pop_address_state(addr))
-            return
-        src_shadow = src_prof.shadow
-        dst_shadow = dst_prof.shadow
-        lw = src_shadow.last_write(addr)
-        if lw is not None:
-            dst_shadow.record_write(addr, *lw)
-        for rd in src_shadow.reads_since_write(addr):
-            dst_shadow.record_read(addr, *rd)
-        src_shadow.evict(addr, 1)
 
     # ------------------------------------------------------------------
     # completion
     # ------------------------------------------------------------------
 
     def finish(self) -> DependenceStore:
-        """Drain queues, join workers, merge thread-local maps (§2.3.3)."""
+        """Drain queues, join workers, merge thread-local maps (§2.3.3).
+
+        Raises the first exception a threaded worker hit, as simulated
+        mode raises it from :meth:`process_chunk`.
+        """
         if self.mode == "threaded":
             for queue in self._queues:
                 queue.push(DONE)
             for thread in self._threads:
                 thread.join()
+            for error in self._errors:
+                if error is not None:
+                    raise error
         # drain staged batches first: that is detection work, not merge
         # work, and the pipeline model bills it to the workers
         for worker in self.workers:
-            if isinstance(worker, VectorizedProfiler):
-                worker.flush()
+            worker.flush()
         merge_start = time.perf_counter()
         merged = DependenceStore()
         for worker in self.workers:
@@ -353,7 +306,7 @@ class ParallelProfiler:
 
 
 # ---------------------------------------------------------------------------
-# pipeline cost model (the substitution documented in DESIGN.md)
+# pipeline cost model (docs/DETECT.md, "The §2.3.3 parallel profiler")
 # ---------------------------------------------------------------------------
 
 

@@ -107,14 +107,11 @@ class SerialProfiler:
         self,
         shadow=None,
         *,
-        store: Optional[DependenceStore] = None,
         lifetime_analysis: bool = True,
-        track_control: bool = True,
     ) -> None:
         self.shadow = shadow if shadow is not None else PerfectShadow()
-        self.store = store if store is not None else DependenceStore()
+        self.store = DependenceStore()
         self.lifetime_analysis = lifetime_analysis
-        self.track_control = track_control
         self.stats = ProfileStats()
         self.control: dict[int, ControlRecord] = {}
         #: int occurrence key -> Dependence (see process_chunk)
@@ -257,20 +254,18 @@ class SerialProfiler:
                     shadow.evict(addr, op)  # aux column: block size
                     stats.evictions += 1
             elif k == K_BGN:
-                if self.track_control:
-                    rec = self.control.get(addr)
-                    if rec is None:
-                        rec = ControlRecord(addr, names[nid], line, line)
-                        self.control[addr] = rec
-                    rec.executions += 1
+                rec = self.control.get(addr)
+                if rec is None:
+                    rec = ControlRecord(addr, names[nid], line, line)
+                    self.control[addr] = rec
+                rec.executions += 1
             elif k == K_END:
-                if self.track_control:
-                    rec = self.control.get(addr)
-                    if rec is None:
-                        rec = ControlRecord(addr, names[nid], line, line)
-                        self.control[addr] = rec
-                    rec.end_line = max(rec.end_line, line)
-                    rec.total_iterations += op  # aux: iterations
+                rec = self.control.get(addr)
+                if rec is None:
+                    rec = ControlRecord(addr, names[nid], line, line)
+                    self.control[addr] = rec
+                rec.end_line = max(rec.end_line, line)
+                rec.total_iterations += op  # aux: iterations
         stats.deps_built += built
         store.raw_occurrences += built
 

@@ -6,10 +6,11 @@ every segmented scan under the GIL — the scalability ceiling §2.3.3
 attacks with address sharding.  This module lifts that design across
 *process* boundaries:
 
-* the parent partitions incoming event rows by ``addr % n_shards`` —
-  the same Formula-2.1 partition :class:`ParallelProfiler` uses — with
-  FREE events broadcast to every shard (lifetime eviction must reach
-  every worker holding state for a freed range);
+* the parent partitions incoming event rows by ``addr % n_shards``
+  with :func:`~repro.profiler.vectorized.shard_rows`, the Formula-2.1
+  partition :class:`ParallelProfiler` uses too: FREE events go to every
+  shard in trace order (lifetime eviction must reach every worker
+  holding state for a freed range);
 * each shard's rows travel through ``multiprocessing.shared_memory``
   slabs: the parent blits packed ``(n, N_COLS)`` int64 rows into a
   pooled slab and publishes ``("rows", slab, n, ...)`` to every worker;
@@ -87,6 +88,7 @@ from repro.profiler.vectorized import (
     ShadowFrontier,
     VectorizedProfiler,
     _multiarange,
+    shard_rows,
     track_control_rows,
 )
 from repro.runtime.events import (
@@ -115,10 +117,6 @@ DEFAULT_SHARD_WORKERS = 4
 #: rows x 9 int64 columns = 9 MiB per slab, amortizing the per-message
 #: fixed costs while keeping the slab pool bounded
 DEFAULT_SLAB_ROWS = 1 << 17
-
-#: signature size sampling-mode workers key their frontier on when a
-#: bounded-memory shadow is requested via ``sampling_slots``
-DEFAULT_SAMPLING_SLOTS = 1 << 20
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -158,43 +156,8 @@ class ShardedDetectionError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# sharding + frontier merging (shared by workers and the in-process tests)
+# frontier merging (shared by the parent and the in-process tests)
 # ---------------------------------------------------------------------------
-
-
-def shard_mask(rows: np.ndarray, n_shards: int, shard: int) -> np.ndarray:
-    """Which rows shard ``shard`` consumes.
-
-    Memory rows partition by ``addr % n_shards`` (Formula 2.1); FREE
-    rows broadcast to every shard — eviction must reach each worker
-    whose address range a freed block overlaps, exactly like
-    :meth:`ParallelProfiler.process_chunk`.
-    """
-    kinds = rows[:, COL_KIND]
-    mem = kinds <= K_WRITE
-    mine = mem & (rows[:, COL_ADDR] % n_shards == shard)
-    return mine | (kinds == K_FREE)
-
-
-def split_rows(rows: np.ndarray, n_shards: int) -> list[np.ndarray]:
-    """Per-shard row subsets, order preserved within each shard."""
-    return [rows[shard_mask(rows, n_shards, s)] for s in range(n_shards)]
-
-
-def multi_shard_mask(
-    rows: np.ndarray, n_shards: int, shards: np.ndarray
-) -> np.ndarray:
-    """Rows a *union* of shards consumes (degraded-mode partition).
-
-    The union of shard classes is itself a valid partition class under
-    the same ``addr % n_shards`` argument — one profiler over the
-    combined rows produces exactly the merge of the per-shard results —
-    so serial fallback can replay all incomplete shards in one pass.
-    """
-    kinds = rows[:, COL_KIND]
-    mem = kinds <= K_WRITE
-    mine = mem & np.isin(rows[:, COL_ADDR] % n_shards, shards)
-    return mine | (kinds == K_FREE)
 
 
 def merge_frontiers(frontiers) -> ShadowFrontier:
@@ -295,7 +258,6 @@ def _shard_worker(
     task_q,
     result_q,
     signature_slots: Optional[int],
-    lifetime_analysis: bool,
     obs_mode: str = "off",
     gen: int = 0,
     heartbeat: bool = False,
@@ -343,11 +305,7 @@ def _shard_worker(
         ]
         strings = StringTable()
         sigs = SignatureTable()
-        profiler = VectorizedProfiler(
-            signature_slots,
-            lifetime_analysis=lifetime_analysis,
-            track_control=False,
-        )
+        profiler = VectorizedProfiler(signature_slots)
         while True:
             msg = task_q.get()
             kind = msg[0]
@@ -366,7 +324,7 @@ def _shard_worker(
             if kind == "rows":
                 _, idx, n, names_sfx, sigs_sfx = msg
                 rows = views[idx][:n]
-                mine = rows[shard_mask(rows, n_shards, shard)]
+                mine = shard_rows(rows, n_shards, [shard])[0]
                 # the gather above copied out of the slab: ack first so
                 # the parent can refill it while this shard detects
                 if not drop_ack:
@@ -376,7 +334,7 @@ def _shard_worker(
                 _, path, names_sfx, sigs_sfx = msg
                 seg = np.load(path, mmap_mode="r")
                 seen = seg.shape[0]
-                mine = seg[shard_mask(seg, n_shards, shard)]
+                mine = shard_rows(seg, n_shards, [shard])[0]
                 del seg
             if names_sfx:
                 # ids align by construction: the parent ships each
@@ -674,13 +632,8 @@ class ShardedDetector:
         *,
         n_shards: int = DEFAULT_SHARD_WORKERS,
         sampling: Optional[float] = None,
-        sampling_slots: Optional[int] = None,
-        store: Optional[DependenceStore] = None,
-        lifetime_analysis: bool = True,
-        track_control: bool = True,
         batch_events: int = DEFAULT_SLAB_ROWS,
         slab_rows: int = DEFAULT_SLAB_ROWS,
-        start_method: Optional[str] = None,
         policy: Optional[Union[RetryPolicy, dict]] = None,
         faults: Optional[Union[FaultPlan, dict]] = None,
     ) -> None:
@@ -690,17 +643,7 @@ class ShardedDetector:
         self.n_shards = n_shards
         self.sampling = sampling
         self.sampler = ShardSampler(sampling) if sampling is not None else None
-        #: what the workers key their frontier on: ``signature_slots``
-        #: passes through (None = perfect shadow, bit-identical in exact
-        #: mode and precision-preserving in sampling mode); sampling runs
-        #: can cap worker shadow memory with an explicit
-        #: ``sampling_slots`` at an extra aliasing-precision cost
-        self.worker_slots = signature_slots
-        if sampling is not None and sampling_slots is not None:
-            self.worker_slots = sampling_slots
-        self.store = store if store is not None else DependenceStore()
-        self.lifetime_analysis = lifetime_analysis
-        self.track_control = track_control
+        self.store = DependenceStore()
         self.batch_events = batch_events
         self.slab_rows = slab_rows
         self.stats = ProfileStats()
@@ -710,7 +653,6 @@ class ShardedDetector:
         self.frontier: Optional[ShadowFrontier] = None
         self.worker_memory_bytes = 0
         self.shipped_events = 0
-        self._start_method = start_method
         self._strings: Optional[StringTable] = None
         self._sigs: Optional[SignatureTable] = None
         self._buffer: list[np.ndarray] = []
@@ -825,11 +767,7 @@ class ShardedDetector:
     def _ensure_workers(self) -> None:
         if self._procs is not None:
             return
-        method = self._start_method
-        if method is None:
-            method = (
-                "fork" if "fork" in mp.get_all_start_methods() else None
-            )
+        method = "fork" if "fork" in mp.get_all_start_methods() else None
         self._ctx = ctx = mp.get_context(method)
         n_slabs = self.n_shards + 2
         slab_bytes = self.slab_rows * N_COLS * 8
@@ -876,8 +814,8 @@ class ShardedDetector:
             args=(
                 shard, self.n_shards, self._slab_names, self.slab_rows,
                 self._task_qs[shard], self._result_q,
-                self.worker_slots, self.lifetime_analysis,
-                self._obs_mode, gen, self.policy.supervise, fault_events,
+                self.signature_slots, self._obs_mode, gen,
+                self.policy.supervise, fault_events,
             ),
             daemon=True,
         )
@@ -1113,11 +1051,7 @@ class ShardedDetector:
             s for s in range(self.n_shards) if s not in self._done_shards
         ]
         self._serial_shards = np.array(incomplete, dtype=np.int64)
-        serial = VectorizedProfiler(
-            self.worker_slots,
-            lifetime_analysis=self.lifetime_analysis,
-            track_control=False,
-        )
+        serial = VectorizedProfiler(self.signature_slots)
         self._degraded = serial
         for path in self._journal.entries:
             rows = np.load(path, mmap_mode="r")
@@ -1125,9 +1059,7 @@ class ShardedDetector:
 
     def _feed_serial(self, rows: np.ndarray) -> None:
         """Run the degraded profiler over the incomplete shards' rows."""
-        part = rows[
-            multi_shard_mask(rows, self.n_shards, self._serial_shards)
-        ]
+        part = shard_rows(rows, self.n_shards, [self._serial_shards])[0]
         if part.shape[0]:
             self._degraded.process_chunk(
                 EventChunk(part, self._strings, self._sigs)
@@ -1284,11 +1216,8 @@ class ShardedDetector:
         kind_counts = np.bincount(kinds, minlength=K_FREE + 1)
         self.stats.reads += int(kind_counts[K_READ])
         self.stats.writes += int(kind_counts[K_WRITE])
-        if self.lifetime_analysis:
-            self.stats.evictions += int(kind_counts[K_FREE])
-        if self.track_control and (
-            kind_counts[K_BGN] or kind_counts[K_END]
-        ):
+        self.stats.evictions += int(kind_counts[K_FREE])
+        if kind_counts[K_BGN] or kind_counts[K_END]:
             track_control_rows(
                 self.control, rows.T, kinds, self._strings.values
             )

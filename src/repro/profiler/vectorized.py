@@ -125,13 +125,41 @@ def _bits(arr: np.ndarray, lo: int = 0) -> int:
     return max(int(arr.max()).bit_length(), lo, 1)
 
 
+def shard_rows(rows: np.ndarray, n_shards: int, shards,
+               overrides: Optional[dict[int, int]] = None) -> list[np.ndarray]:
+    """The rows each entry of ``shards`` consumes, in trace order.
+
+    The one address partition of both §2.3.3 profilers
+    (:class:`~repro.profiler.parallel.ParallelProfiler` and
+    :class:`~repro.profiler.sharded.ShardedDetector`): a memory row goes
+    to shard ``addr % n_shards`` (Formula 2.1), or to ``overrides[addr]``
+    for a redistributed hot address; a FREE row goes to every shard at
+    its place in the trace, so each shard evicts a dead block exactly
+    where the serial shadow would; no other row goes to any shard.  An
+    entry of ``shards`` is one shard id or an array of them (a union of
+    shard classes is itself a cell of the partition).
+    """
+    kinds = rows[:, COL_KIND]
+    addrs = rows[:, COL_ADDR]
+    owner = addrs % n_shards
+    for addr, shard in (overrides or {}).items():
+        owner[addrs == addr] = shard
+    mem = kinds <= K_WRITE
+    free = kinds == K_FREE
+    return [
+        rows[((np.isin(owner, s) if np.ndim(s) else owner == s) & mem) | free]
+        for s in shards
+    ]
+
+
 def track_control_rows(control, cols, kinds, names) -> None:
     """Fold a batch's BGN/END rows into ``control`` records.
 
     Module-level so producer-side aggregators (the sharded detection
-    parent, which never ships control rows to the workers) can reuse the
-    exact segmented reduction the vectorized detector applies; ``cols``
-    is any column-major int64 view (``rows.T`` works).
+    parent and the parallel profiler, whose workers never receive
+    control rows) reuse the exact segmented reduction the vectorized
+    detector applies; ``cols`` is any column-major int64 view
+    (``rows.T`` works).
     """
     cmask = (kinds == K_BGN) | (kinds == K_END)
     if not cmask.any():
@@ -254,8 +282,8 @@ class VectorizedProfiler:
     """Batched dependence detection over packed event chunks.
 
     Drop-in peer of :class:`~repro.profiler.serial.SerialProfiler`
-    (same constructor shape, ``stats``/``store``/``control`` surface,
-    chunk-sink call convention) producing a bit-identical
+    (same ``stats``/``store``/``control`` surface and chunk-sink call
+    convention) producing a bit-identical
     :class:`DependenceStore`.  ``signature_slots=None``
     keys the frontier on exact addresses (the PerfectShadow semantics);
     an integer keys it on ``addr % slots`` with the SignatureShadow's
@@ -271,17 +299,12 @@ class VectorizedProfiler:
         self,
         signature_slots: Optional[int] = None,
         *,
-        store: Optional[DependenceStore] = None,
-        lifetime_analysis: bool = True,
-        track_control: bool = True,
         batch_events: int = DEFAULT_BATCH_EVENTS,
     ) -> None:
         if signature_slots is not None and signature_slots <= 0:
             raise ValueError("signature must have a positive number of slots")
         self.signature_slots = signature_slots
-        self.store = store if store is not None else DependenceStore()
-        self.lifetime_analysis = lifetime_analysis
-        self.track_control = track_control
+        self.store = DependenceStore()
         self.batch_events = batch_events
         self.stats = ProfileStats()
         self.control: dict[int, ControlRecord] = {}
@@ -531,10 +554,6 @@ class VectorizedProfiler:
                 covered |= (keys - base) % slots < size
         return covered
 
-    # -- control records -----------------------------------------------
-
-    def _track_control(self, cols, kinds, names) -> None:
-        track_control_rows(self.control, cols, kinds, names)
     # -- bulk store merge ----------------------------------------------
 
     def _bulk_merge(
@@ -605,13 +624,12 @@ class VectorizedProfiler:
         cols = np.empty((rows.shape[1], rows.shape[0]), dtype=np.int64)
         cols[:] = rows.T
         kinds = cols[COL_KIND]
-        if self.track_control:
-            self._track_control(cols, kinds, names)
+        track_control_rows(self.control, cols, kinds, names)
         stats = self.stats
         kind_counts = np.bincount(kinds, minlength=K_FREE + 1)
         stats.reads += int(kind_counts[K_READ])
         stats.writes += int(kind_counts[K_WRITE])
-        n_free = int(kind_counts[K_FREE]) if self.lifetime_analysis else 0
+        n_free = int(kind_counts[K_FREE])
         stats.evictions += n_free
         mem_idx = np.nonzero(kinds <= K_WRITE)[0]
         m = mem_idx.shape[0]

@@ -18,7 +18,6 @@ import pytest
 from repro.discovery.loops import analyze_loops
 from repro.engine import DiscoveryConfig, DiscoveryEngine
 from repro.profiler.backends import SerialBackend
-from repro.profiler.parallel import ParallelProfiler
 from repro.profiler.serial import SerialProfiler
 from repro.profiler.shadow import (
     MAX_READS_PER_SLOT,
@@ -89,8 +88,8 @@ def state_of(profiler):
 
 
 class TestThreeWayMatrix:
-    """loop × vectorized (batched) × vectorized (per chunk, the parallel
-    profiler's threaded-worker mode) over the whole registry."""
+    """loop × vectorized (batched) × vectorized (one pass per chunk:
+    batch boundaries carry no meaning) over the whole registry."""
 
     @pytest.mark.parametrize("name", ALL_WORKLOADS)
     def test_store_equality(self, name):
@@ -272,25 +271,6 @@ class TestBackendsAndConfig:
         backend = SerialBackend(skip_loops=True, detect="vectorized")
         assert backend.detect == "loop"
         assert isinstance(backend.profiler, SerialProfiler)
-
-    def test_parallel_backend_vectorized_workers(self):
-        workload = get_workload("rotate")
-        module = workload.compile(1)
-        results = {}
-        for detect in ("loop", "vectorized"):
-            profiler = ParallelProfiler(4, detect=detect)
-            vm = VM(module, profiler)
-            vm.run(workload.entry)
-            store = profiler.finish()
-            assert all(
-                isinstance(w, VectorizedProfiler) is (detect == "vectorized")
-                for w in profiler.workers
-            )
-            results[detect] = (
-                store.to_dict(),
-                {r: c.to_dict() for r, c in profiler.control.items()},
-            )
-        assert results["loop"] == results["vectorized"]
 
     def test_config_round_trips_detect(self):
         config = DiscoveryConfig(source="int main() { return 0; }",

@@ -1,5 +1,7 @@
 """Tests for queues, the parallel profiler, skipping, and the race model."""
 
+import functools
+import sys
 import threading
 
 import numpy as np
@@ -17,12 +19,20 @@ from repro.profiler.parallel import (
 from repro.profiler.queues import DONE, LockedQueue, MPSCQueue, SPSCQueue
 from repro.profiler.races import DeferredSink
 from repro.profiler.serial import SerialProfiler
-from repro.profiler.shadow import PerfectShadow, SignatureShadow
+from repro.profiler.shadow import PerfectShadow
 from repro.profiler.skipping import SkippingProfiler
-from repro.runtime.events import COL_KIND, COL_TID, COL_TS, K_WRITE
+from repro.runtime.events import (
+    COL_KIND,
+    COL_TID,
+    COL_TS,
+    K_FREE,
+    K_READ,
+    K_WRITE,
+    TraceSink,
+)
 from repro.runtime.interpreter import VM
-from repro.workloads import get_workload
-from tests.conftest import profile_program
+from repro.workloads import REGISTRY, get_workload
+from tests.conftest import make_chunk
 
 
 # ---------------------------------------------------------------------------
@@ -127,22 +137,114 @@ def _serial_keys(module):
     return prof.store.keys()
 
 
-class TestParallelProfiler:
-    @pytest.mark.parametrize("mode,queue_kind", [
+def _state(store, control):
+    """What must equal the serial profiler's: full store, control records."""
+    return store.to_dict(), {r: c.to_dict() for r, c in control.items()}
+
+
+def _serial_state(chunks):
+    serial = SerialProfiler(PerfectShadow())
+    for chunk in chunks:
+        serial.process_chunk(chunk)
+    return _state(serial.store, serial.control)
+
+
+def _finish(par, timeout=60.0):
+    """``par.finish()`` on a helper thread: a hang fails the test."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(par.finish())
+        except Exception as exc:
+            outcome.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "finish() hung"
+    if isinstance(outcome[0], Exception):
+        raise outcome[0]
+    return outcome[0]
+
+
+def _parallel_state(chunks, n_workers, **kwargs):
+    par = ParallelProfiler(n_workers, **kwargs)
+    for chunk in chunks:
+        par.process_chunk(chunk)
+    store = _finish(par)
+    return _state(store, par.control), par
+
+
+def _record(module, entry="main", **vm_kwargs):
+    trace = TraceSink()
+    VM(module, trace, **vm_kwargs).run(entry)
+    return list(trace.iter_chunks())
+
+
+@functools.lru_cache(maxsize=1)
+def _recorded(name):
+    """One workload's trace and the serial state over it.
+
+    The equivalence legs run workload by workload, so one cached entry
+    serves every leg of a workload and each trace is recorded once.
+    """
+    workload = get_workload(name)
+    chunks = _record(workload.compile(scale=1), workload.entry)
+    return chunks, _serial_state(chunks)
+
+
+#: the locked and MPSC queue legs run on a sample; SPSC runs everywhere
+QUEUE_SAMPLE = ("CG", "fft", "md5-pthread", "rotate")
+
+EQUIVALENCE_LEGS = [
+    (name, mode, queue_kind)
+    for name in sorted(REGISTRY)
+    for mode, queue_kind in (
         ("simulated", "spsc"),
         ("threaded", "spsc"),
-        ("threaded", "locked"),
-        ("threaded", "mpsc"),
-    ])
-    @pytest.mark.parametrize("workload", ["CG", "rotate"])
-    def test_equivalent_to_serial(self, mode, queue_kind, workload):
-        module = get_workload(workload).compile(scale=1)
-        baseline = _serial_keys(module)
-        par = ParallelProfiler(4, mode=mode, queue_kind=queue_kind)
-        vm = VM(module, par)
-        vm.run()
-        merged = par.finish()
-        assert merged.keys() == baseline
+        *((("threaded", "locked"), ("threaded", "mpsc"))
+          if name in QUEUE_SAMPLE else ()),
+    )
+]
+
+HOT_SRC = """int hot;
+int main() {
+  for (int i = 0; i < 500; i++) {
+    hot += i;
+  }
+  return hot;
+}
+"""
+
+
+class TestParallelProfiler:
+    @pytest.mark.parametrize("workload,mode,queue_kind", EQUIVALENCE_LEGS)
+    def test_equivalent_to_serial(self, workload, mode, queue_kind):
+        """Store and control records equal the serial profiler's on the
+        same trace, with hot addresses moving every two chunks."""
+        chunks, reference = _recorded(workload)
+        state, _ = _parallel_state(
+            chunks, 8 if mode == "simulated" else 4, mode=mode,
+            queue_kind=queue_kind, redistribute_every=2,
+        )
+        assert state == reference
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_free_then_reuse_in_one_chunk(self, n_workers):
+        """A block freed and written again inside one chunk starts
+        afresh: the read before the FREE is no WAR source of the write
+        after it (FREE rows keep their place in every shard)."""
+        chunks = [make_chunk([
+            (K_WRITE, 10, 1, "x", 0, 0, 1, 0, 0),
+            (K_READ, 10, 2, "x", 1, 0, 2, 0, 0),
+            (K_FREE, 8, 0, 0, 4, 0, 3, 0, 0),
+            (K_WRITE, 10, 1, "x", 0, 0, 4, 0, 0),
+        ])]
+        reference = _serial_state(chunks)
+        assert [d["type"] for d in reference[0]["deps"]] == ["RAW"]
+        state, _ = _parallel_state(chunks, n_workers)
+        assert state == reference
 
     def test_work_sharded_by_address(self):
         module = get_workload("rgbyuv").compile(scale=1)
@@ -154,41 +256,58 @@ class TestParallelProfiler:
         assert len(busy) >= 6  # addresses spread over most workers
 
     def test_redistribution_moves_hot_addresses(self):
-        src = """int hot;
-int main() {
-  for (int i = 0; i < 500; i++) {
-    hot += i;
-  }
-  return hot;
-}
-"""
-        module = compile_source(src)
-        par = ParallelProfiler(4, mode="simulated", redistribute_every=2,
-                               queue_capacity=64)
-        vm = VM(module, par, chunk_size=128)
-        vm.run()
-        merged = par.finish()
+        chunks = _record(compile_source(HOT_SRC), chunk_size=128)
+        state, par = _parallel_state(
+            chunks, 4, mode="simulated", redistribute_every=2
+        )
         assert par.report.redistributions > 0
-        assert merged.keys() == _serial_keys(compile_source(src))
+        assert state == _serial_state(chunks)
+
+    def test_threaded_moves_match_serial(self):
+        """Moves on running worker threads land where the serial order
+        puts them, run after run, with threads switching often."""
+        chunks = _record(compile_source(HOT_SRC), chunk_size=128)
+        reference = _serial_state(chunks)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(20):
+                state, par = _parallel_state(
+                    chunks, 4, mode="threaded", redistribute_every=1
+                )
+                assert par.report.redistributions > 0
+                assert state == reference
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_worker_failure_surfaces(self):
+        """A chunk with a second signature table fails its worker: the
+        threaded run raises it from finish() instead of returning a
+        partial store, and a move out of the failed worker (address 2,
+        second hottest, goes to worker 1) does not hang its peer."""
+        first = make_chunk([(K_WRITE, 0, 1, "x", 0, 0, 1, 0, 0)])
+        second = make_chunk(
+            [(K_WRITE, 0, 2, "x", 0, 0, 2 + i, 0, 0) for i in range(5)]
+            + [(K_WRITE, 2, 3, "y", 0, 0, 7 + i, 0, 0) for i in range(4)]
+        )
+        par = ParallelProfiler(2, mode="simulated")
+        par.process_chunk(first)
+        with pytest.raises(ValueError, match="signature table"):
+            par.process_chunk(second)
+        par = ParallelProfiler(2, mode="threaded", redistribute_every=1)
+        par.process_chunk(first)
+        par.process_chunk(second)
+        with pytest.raises(ValueError, match="signature table"):
+            _finish(par)
+        assert par.report.redistributions == 1
 
     def test_signature_slots_per_worker(self):
         module = get_workload("rotate").compile(scale=1)
-        # vectorized workers carry the slot count directly
         par = ParallelProfiler(4, mode="simulated", signature_slots=1 << 14)
         vm = VM(module, par)
         vm.run()
         par.finish()
         assert all(w.signature_slots == 1 << 14 for w in par.workers)
-        # loop workers still build a SignatureShadow each
-        par = ParallelProfiler(
-            4, mode="simulated", signature_slots=1 << 14, detect="loop"
-        )
-        vm = VM(module, par)
-        vm.run()
-        par.finish()
-        assert all(
-            isinstance(w.shadow, SignatureShadow) for w in par.workers
-        )
 
     def test_control_records_kept_by_producer(self, fig27_source):
         module = compile_source(fig27_source)

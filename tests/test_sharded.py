@@ -24,9 +24,12 @@ from repro.profiler.sharded import (
     ShardSampler,
     canonical_frontier,
     merge_frontiers,
-    split_rows,
 )
-from repro.profiler.vectorized import ShadowFrontier, VectorizedProfiler
+from repro.profiler.vectorized import (
+    ShadowFrontier,
+    VectorizedProfiler,
+    shard_rows,
+)
 from repro.runtime.events import (
     COL_ADDR,
     COL_KIND,
@@ -136,14 +139,10 @@ class TestMergeAssociativity:
         for name in BOUNDARY_WORKLOADS:
             trace, vm = record(name, chunk_size=chunk_size)
             ref = vec_profile(trace)
-            workers = [
-                VectorizedProfiler(
-                    None, track_control=False
-                )
-                for _ in range(shards)
-            ]
+            workers = [VectorizedProfiler() for _ in range(shards)]
             for chunk in trace.iter_chunks():
-                for s, part in enumerate(split_rows(chunk.rows, shards)):
+                parts = shard_rows(chunk.rows, shards, range(shards))
+                for s, part in enumerate(parts):
                     if part.shape[0]:
                         workers[s].process_chunk(
                             EventChunk(part, chunk.strings, chunk.sigs)
