@@ -143,13 +143,14 @@ def test_fig_2_10_2_11_parallel_targets(one_round):
 def test_fig_2_12_skipping_slowdown(one_round):
     """Slowdown with (DiscoPoP+opt) and without (DiscoPoP) skipping.
 
-    Substrate note (see EXPERIMENTS.md): the paper's 41.3 % wall-clock
-    saving comes from avoided dependence-*storage* operations, which
-    dominate its C++ profiler.  In pure Python the storage (dict) cost is
-    comparable to the skip-check itself, so wall-clock reduction only
-    materialises at very high skip rates; the *mechanism* — storage
-    operations avoided per skipped instruction — reproduces directly and
-    is reported alongside.
+    Substrate note (ROADMAP.md item 9 has the measurements; docs/DETECT.md
+    says why the skipping filter runs the per-event loop core beneath
+    it): the paper's 41.3 % wall-clock saving comes from avoided
+    dependence-*storage* operations, which dominate its C++ profiler.  In
+    pure Python the storage (dict) cost is comparable to the skip-check
+    itself, so wall-clock reduction only materialises at very high skip
+    rates; the *mechanism* — storage operations avoided per skipped
+    instruction — reproduces directly and is reported alongside.
     """
     rows = []
     reductions = []

@@ -82,10 +82,20 @@ class PETBuilder:
         self._stacks: dict[int, list[PETNode]] = {}
         #: current block leaf per thread
         self._blocks: dict[int, Optional[PETNode]] = {}
+        #: (parent id, kind, name, line) -> that child, and parent id ->
+        #: its first block child: one lookup where a scan of the
+        #: parent's children would find the same node
+        self._child: dict[tuple, PETNode] = {}
+        self._block_child: dict[int, PETNode] = {}
 
-    def _new_node(self, kind: str, name: str, line: int) -> PETNode:
-        node = PETNode(self._next_id, kind, name, line)
+    def _add_child(
+        self, parent: PETNode, kind: str, name: str, line: int
+    ) -> PETNode:
+        node = parent.add_child(PETNode(self._next_id, kind, name, line))
         self._next_id += 1
+        self._child.setdefault((parent.node_id, kind, name, line), node)
+        if kind == "block":
+            self._block_child.setdefault(parent.node_id, node)
         return node
 
     def _stack(self, tid: int) -> list[PETNode]:
@@ -99,12 +109,9 @@ class PETBuilder:
         stack = self._stack(tid)
         top = stack[-1]
         # reuse an existing child for the same static construct
-        for child in top.children:
-            if child.kind == kind and child.name == name and child.line == line:
-                node = child
-                break
-        else:
-            node = top.add_child(self._new_node(kind, name, line))
+        node = self._child.get((top.node_id, kind, name, line))
+        if node is None:
+            node = self._add_child(top, kind, name, line)
         node.executions += 1
         stack.append(node)
         self._blocks[tid] = None
@@ -146,7 +153,7 @@ class PETBuilder:
         names = chunk.strings.values
         ends = np.searchsorted(mem, markers).tolist() + [mem.shape[0]]
         start = 0
-        for ci, end in zip(markers.tolist() + [n], ends):
+        for row, end in zip(rows[markers].tolist() + [None], ends):
             if end > start:
                 if chunk_single:
                     self._attribute_run(
@@ -169,8 +176,7 @@ class PETBuilder:
                             seg_lines = lines_col[start:end][mask]
                             count = int(mask.sum())
                         self._attribute_run(tid, seg_lines, count)
-            if ci < n:
-                row = rows[ci].tolist()
+            if row is not None:
                 k = row[COL_KIND]
                 if k == K_BGN:
                     kind = names[row[COL_NAME]]
@@ -195,16 +201,12 @@ class PETBuilder:
         """Attribute a marker-free run of memory events to one thread."""
         block = self._blocks.get(tid)
         if block is None:
-            stack = self._stack(tid)
-            top = stack[-1]
-            for child in top.children:
-                if child.kind == "block":
-                    block = child
-                    break
-            else:
+            top = self._stack(tid)[-1]
+            block = self._block_child.get(top.node_id)
+            if block is None:
                 first_line = int(seg_lines[0])
-                block = top.add_child(
-                    self._new_node("block", f"block@{first_line}", first_line)
+                block = self._add_child(
+                    top, "block", f"block@{first_line}", first_line
                 )
             self._blocks[tid] = block
         block.memory_instructions += count

@@ -5,8 +5,9 @@ array (:data:`EVENT_DTYPE`): one int64 row of :data:`N_COLS` columns per
 event, kinds int-coded (:data:`K_READ` ...), strings (variable/function
 names, region kinds) interned through a :class:`StringTable`.  Every
 event kind maps onto the same nine columns (see :data:`COLUMNS`).  A
-:class:`TraceSink` keeps the chunks it records as int32 where the values
-fit, and widens them back to int64 as it hands them out.
+:class:`TraceSink` keeps each column of a recorded chunk at the narrowest
+integer width its values need, and widens the rows back to int64 as it
+hands them out.
 
 ``sig`` is an interned id of the thread's loop-context stack
 ``((region_id, iteration), ...)`` at the time of the access — the profiler
@@ -82,6 +83,13 @@ EVENT_NBYTES = EVENT_DTYPE.itemsize
 
 _INT32 = np.iinfo(np.int32)
 
+#: (min, max, dtype) of the signed widths below int64 that a recorded
+#: column may rest at, narrowest first
+_NARROW_WIDTHS = tuple(
+    (int(np.iinfo(t).min), int(np.iinfo(t).max), np.dtype(t))
+    for t in (np.int8, np.int16, np.int32)
+)
+
 
 class _InternTable:
     """Bidirectional interning: value -> dense int id, ``values[id]`` back.
@@ -147,7 +155,10 @@ class SignatureTable(_InternTable):
     Slot 0 is the empty signature (outside every loop).  Consumers decode
     with one list index, ``values[sig_id]``, because the per-event
     profiler decodes on every carried access; an id the table lacks
-    raises ``IndexError``.
+    raises ``IndexError``.  Signatures share their (region, iteration)
+    pair tuples: the VM grows each one from the thread's previous
+    signature (``VM._intern_sig``) and :meth:`from_arrays` reuses equal
+    pairs, so a table holds at most one pair object per signature.
     """
 
     __slots__ = ()
@@ -167,7 +178,11 @@ class SignatureTable(_InternTable):
     def from_arrays(
         cls, lengths: np.ndarray, pairs: np.ndarray
     ) -> "SignatureTable":
-        flat = [tuple(pair) for pair in pairs.tolist()]
+        shared: dict = {}
+        flat = [
+            shared.setdefault(pair, pair)
+            for pair in map(tuple, pairs.tolist())
+        ]
         values = []
         pos = 0
         for n in lengths.tolist():
@@ -302,41 +317,86 @@ class ChunkBuilder:
 # ---------------------------------------------------------------------------
 
 
+def _narrowest(lo: int, hi: int) -> np.dtype:
+    """The narrowest signed integer dtype holding every value in [lo, hi]."""
+    for tmin, tmax, dtype in _NARROW_WIDTHS:
+        if tmin <= lo and hi <= tmax:
+            return dtype
+    return np.dtype(np.int64)
+
+
+class _RestingChunk:
+    """One recorded chunk at rest: its nine columns, each at the narrowest
+    signed width that holds the chunk's values in that column, or a
+    plain int where the column is constant over the chunk."""
+
+    __slots__ = ("n", "columns", "archive_dtype", "strings", "sigs")
+
+    def __init__(self, chunk: EventChunk) -> None:
+        rows = chunk.rows
+        self.n = n = rows.shape[0]
+        if n:
+            by_column = rows.T.copy()
+            lo = by_column.min(axis=1).tolist()
+            hi = by_column.max(axis=1).tolist()
+        else:
+            lo = hi = [0] * N_COLS
+        self.columns = [
+            lo[c] if lo[c] == hi[c]
+            else by_column[c].astype(_narrowest(lo[c], hi[c]))
+            for c in range(N_COLS)
+        ]
+        #: the row dtype :func:`save_trace` writes: int32 where every
+        #: value fits, int64 otherwise, the layout that checkpoint and
+        #: resume directories already hold
+        self.archive_dtype = np.dtype(
+            np.int32 if min(lo) >= _INT32.min and max(hi) <= _INT32.max
+            else np.int64
+        )
+        self.strings = chunk.strings
+        self.sigs = chunk.sigs
+
+    def widen(self, dtype=np.int64) -> np.ndarray:
+        """The ``(n, N_COLS)`` rows at ``dtype``."""
+        rows = np.empty((self.n, N_COLS), dtype)
+        for c, column in enumerate(self.columns):
+            rows[:, c] = column
+        return rows
+
+    @property
+    def nbytes(self) -> int:
+        return sum(
+            column.nbytes for column in self.columns
+            if isinstance(column, np.ndarray)
+        )
+
+
 class TraceSink:
     """Sink that records the entire event stream in memory.
 
-    A recorded chunk rests as int32 when every value in it fits, as int64
-    otherwise: half the bytes for any trace whose addresses, timestamps
-    and signature ids stay below 2**31.  :meth:`iter_chunks` is the only
-    reader and widens one chunk at a time, so every consumer still sees
-    int64 rows.  ``n_events`` is maintained in exactly one place
-    (:meth:`__call__`).  ``nbytes`` is the resident footprint, so memory
-    pressure is observable.
+    A recorded chunk rests column by column, each column at the narrowest
+    signed integer width (int8/16/32/64) that holds the chunk's values in
+    it, and a column constant over the chunk as that value: about 13
+    bytes/event on the registry programs where the VM's rows take 72.
+    :meth:`iter_chunks` is the only reader and widens one chunk at a time,
+    so every consumer still sees ``(n, 9)`` int64 rows, chunk for chunk
+    as they were recorded.  ``n_events`` is maintained in exactly one
+    place (:meth:`__call__`).  ``nbytes`` is the resident footprint of
+    the columns, so memory pressure is observable.
     """
 
     def __init__(self) -> None:
-        self._resting: list[EventChunk] = []
+        self._resting: list[_RestingChunk] = []
         self.n_events = 0
 
     def __call__(self, chunk: EventChunk) -> None:
-        rows = chunk.rows
-        if not rows.size or (
-            rows.min() >= _INT32.min and rows.max() <= _INT32.max
-        ):
-            chunk = EventChunk(
-                rows.astype(np.int32, copy=False), chunk.strings, chunk.sigs
-            )
-        self._resting.append(chunk)
+        self._resting.append(_RestingChunk(chunk))
         self.n_events += len(chunk)
 
     def iter_chunks(self) -> Iterator[EventChunk]:
         """The recorded chunks in arrival order, as int64 rows."""
         for chunk in self._resting:
-            if chunk.rows.dtype != np.int64:
-                chunk = EventChunk(
-                    chunk.rows.astype(np.int64), chunk.strings, chunk.sigs
-                )
-            yield chunk
+            yield EventChunk(chunk.widen(), chunk.strings, chunk.sigs)
 
     def __len__(self) -> int:
         return self.n_events
@@ -485,13 +545,17 @@ def save_trace(sink, path: str) -> None:
     writes, deflated at zlib level 1: about four times faster to write
     than the default level 6 for a quarter more bytes.  Each array goes
     into the archive as it is read, so saving a :class:`SpillingTraceSink`
-    loads one spilled segment at a time, and a :class:`TraceSink` writes
-    its chunks as they rest (int32 where they fit), never a widened
-    copy.
+    loads one spilled segment at a time, and a :class:`TraceSink` widens
+    one chunk at a time, to int32 where every value in the chunk fits and
+    to int64 otherwise.
     """
-    chunks = (
-        sink._resting if isinstance(sink, TraceSink) else sink.iter_chunks()
-    )
+    if isinstance(sink, TraceSink):
+        chunks = (
+            EventChunk(c.widen(c.archive_dtype), c.strings, c.sigs)
+            for c in sink._resting
+        )
+    else:
+        chunks = sink.iter_chunks()
     strings, sigs = StringTable(), SignatureTable()
     with zipfile.ZipFile(
         path, "w", compression=zipfile.ZIP_DEFLATED, compresslevel=1,
@@ -514,10 +578,10 @@ def save_trace(sink, path: str) -> None:
 def load_trace(path: str) -> TraceSink:
     """Reload a :func:`save_trace` artifact into an in-memory TraceSink.
 
-    Row arrays may be int32 or int64; each rests as a recorded chunk
-    would.  Raises :class:`TraceLayoutError` for a file without a
-    signature table (written before traces carried one): its ``sig`` ids
-    cannot be decoded.
+    Row arrays may be int32 or int64; each rests column by column as a
+    recorded chunk would.  Raises :class:`TraceLayoutError` for a file
+    without a signature table (written before traces carried one): its
+    ``sig`` ids cannot be decoded.
     """
     sink = TraceSink()
     with np.load(path) as data:

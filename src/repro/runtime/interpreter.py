@@ -282,9 +282,28 @@ class VM:
     # ------------------------------------------------------------------
 
     def _intern_sig(self, thread: ThreadState) -> None:
-        thread.sig_id = self.sigs.intern(
-            tuple((entry[0], entry[1]) for entry in thread.loop_stack)
-        )
+        """Intern the thread's loop stack as its current signature.
+
+        The stack changes at exactly one level between two interns: a
+        loop entry appends, an iteration bumps the innermost count, a
+        close pops.  So the new signature is the previous one with its
+        last pair added, replaced or dropped, and it shares every other
+        (region, iteration) tuple with it: the table holds at most one
+        pair object per signature.  A stack whose depth does not fit
+        that rule is rebuilt in full.
+        """
+        stack = thread.loop_stack
+        prev = self.sigs.values[thread.sig_id]
+        grow = len(stack) - len(prev)
+        if grow == 1:
+            sig = prev + ((stack[-1][0], stack[-1][1]),)
+        elif grow == 0 and stack and prev[-1][0] == stack[-1][0]:
+            sig = prev[:-1] + ((stack[-1][0], stack[-1][1]),)
+        elif grow == -1:
+            sig = prev[:-1]
+        else:
+            sig = tuple((entry[0], entry[1]) for entry in stack)
+        thread.sig_id = self.sigs.intern(sig)
 
     # ------------------------------------------------------------------
     # thread management

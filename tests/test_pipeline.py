@@ -44,8 +44,9 @@ from repro.runtime.events import (
     save_trace,
 )
 from repro.runtime.interpreter import VM
-from repro.workloads import get_workload
+from repro.workloads import REGISTRY, get_workload
 from tests.conftest import make_chunk
+from tests.sig_reference import ReferenceInternVM
 
 TEXTBOOK = "histogram"
 NAS = "CG"
@@ -62,6 +63,26 @@ def record(module, entry: str, **vm_kwargs):
 
 def rows_of(trace) -> np.ndarray:
     return np.concatenate([chunk.rows for chunk in trace.iter_chunks()])
+
+
+def resting_nbytes(rows: np.ndarray) -> int:
+    """Bytes a recorded chunk rests in: each column at the narrowest
+    signed width holding its values, a constant column as its value."""
+    total = 0
+    for column in rows.T.tolist():
+        lo, hi = min(column, default=0), max(column, default=0)
+        if lo != hi:
+            total += len(column) * next(
+                np.dtype(t).itemsize
+                for t in (np.int8, np.int16, np.int32, np.int64)
+                if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max
+            )
+    return total
+
+
+def pair_objects(sigs: SignatureTable) -> int:
+    """Distinct (region, iteration) tuple objects across a table."""
+    return len({id(pair) for sig in sigs.values for pair in sig})
 
 
 def assert_sigs_decode(trace, vm) -> None:
@@ -157,15 +178,18 @@ class TestSinkAccounting:
             assert trace.n_events == rows_of(trace).shape[0]
 
     def test_nbytes_observable(self, recorded):
-        # the VM emits int64 rows; a recorded trace rests as int32
+        # the VM emits int64 rows; a recorded trace rests column by column
         trace = recorded[TEXTBOOK][0]
         assert EVENT_NBYTES == 72
-        assert trace.nbytes == trace.n_events * N_COLS * 4
+        assert trace.nbytes == sum(
+            resting_nbytes(chunk.rows) for chunk in trace.iter_chunks()
+        )
 
 
 class TestRestingFormat:
-    """A recorded chunk rests as int32 where every value fits and as
-    int64 where one does not; every reader sees int64 rows."""
+    """A recorded chunk rests column by column, each at the narrowest
+    width its values need; every reader sees the int64 rows, and an
+    archive holds int32 rows where every value fits, int64 otherwise."""
 
     @staticmethod
     def _mixed_sink():
@@ -181,8 +205,40 @@ class TestRestingFormat:
 
     def test_out_of_range_chunk_stays_int64(self):
         sink, (small, big) = self._mixed_sink()
-        assert sink.nbytes == len(small) * N_COLS * 4 + len(big) * N_COLS * 8
+        # kind, line, aux and ts vary over the small chunk, each within
+        # int8; the one-row chunk rests as its values
+        assert sink.nbytes == len(small) * 4
         assert len(sink) == 3
+
+    @pytest.mark.parametrize("rows", [
+        # an int64 column beside int8, int16 and int32 ones
+        [[K_WRITE, 64, 3, "x", 0, 0, 0, 0, 0],
+         [K_READ, 70000, 300, "y", 1, 0, 2**31, 0, 1]],
+        # negative values: the var column of unnamed temporaries
+        [[K_WRITE, 64, 3, 0, 0, 0, 0, 0, -1],
+         [K_READ, 65, 4, "x", 1, 0, 1, 0, 2],
+         [K_READ, 66, 5, 0, -200, 0, 2, 0, -1]],
+        [[K_READ, 64, 5, "y", 2, 0, 2**31, 0, -1]],  # one row
+        [],  # an empty chunk
+    ], ids=["int64-column", "negative", "one-row", "empty"])
+    def test_hand_built_chunks_round_trip(self, rows, tmp_path):
+        chunk = make_chunk(rows)
+        sink = TraceSink()
+        sink(chunk)
+        assert sink.nbytes == resting_nbytes(chunk.rows)
+        (read,) = sink.iter_chunks()
+        assert read.rows.dtype == np.int64
+        assert read.rows.shape == (len(rows), N_COLS)
+        assert np.array_equal(read.rows, chunk.rows)
+        path = str(tmp_path / "trace.npz")
+        save_trace(sink, path)
+        fits = not rows or np.abs(chunk.rows).max() < 2**31
+        with np.load(path) as data:
+            saved = data["rows_000000"]
+        assert saved.dtype == (np.int32 if fits else np.int64)
+        assert np.array_equal(saved, chunk.rows)
+        (reloaded,) = load_trace(path).iter_chunks()
+        assert np.array_equal(reloaded.rows, chunk.rows)
 
     def test_readers_see_the_recorded_int64_rows(self, recorded):
         sink, expected = self._mixed_sink()
@@ -206,6 +262,14 @@ class TestRestingFormat:
             assert chunk.rows.dtype == np.int64
             assert np.array_equal(chunk.rows, rows)
 
+    def test_reloaded_table_shares_pairs(self, recorded, tmp_path):
+        trace, vm = recorded[NAS]
+        path = str(tmp_path / "trace.npz")
+        save_trace(trace, path)
+        sigs = next(load_trace(path).iter_chunks()).sigs
+        assert sigs.values == vm.sigs.values
+        assert pair_objects(sigs) <= len(sigs)
+
     def test_all_int64_trace_file_still_loads(self, recorded, tmp_path):
         """The layout written before traces rested as int32."""
         trace, vm = recorded[TEXTBOOK]
@@ -222,6 +286,38 @@ class TestRestingFormat:
         assert restored.nbytes == trace.nbytes
         assert np.array_equal(rows_of(restored), rows_of(trace))
         assert_sigs_decode(restored, vm)
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+class TestRecordedRegistry:
+    """Every registry program reads back exactly what its VM emitted,
+    and interns the signatures the whole-stack reference interns."""
+
+    def test_readers_see_the_emitted_chunks(self, name):
+        workload = get_workload(name)
+        trace, emitted = TraceSink(), []
+
+        def tee(chunk) -> None:
+            emitted.append(chunk.rows.copy())
+            trace(chunk)
+
+        VM(workload.compile(1), tee).run(workload.entry)
+        read = [chunk.rows for chunk in trace.iter_chunks()]
+        assert len(read) == len(emitted)
+        for rows, sent in zip(read, emitted):
+            assert rows.dtype == np.int64
+            assert np.array_equal(rows, sent)
+
+    def test_interning_matches_the_reference(self, name):
+        workload = get_workload(name)
+        module = workload.compile(1)
+        trace, vm = record(module, workload.entry)
+        reference = TraceSink()
+        ref_vm = ReferenceInternVM(module, reference)
+        ref_vm.run(workload.entry)
+        assert vm.sigs.values == ref_vm.sigs.values
+        assert np.array_equal(rows_of(trace), rows_of(reference))
+        assert pair_objects(vm.sigs) <= len(vm.sigs)
 
 
 def profile_trace(chunks, shadow=None):
